@@ -30,7 +30,6 @@ from .errors import (
     CorpusFormatError,
     CostModelError,
     DivergenceError,
-    EigensolverError,
     GedError,
     GraphFormatError,
 )
@@ -47,14 +46,11 @@ from .graphs import (
 from .kernel import (
     ObjectiveParams,
     ScaledPair,
-    convexity_lambda_bound,
-    gradient,
-    jacobi_eigenvalues,
     objective,
-    penalized_objective,
     quasi_perm_residual,
     relabel_transform,
     scale_pair,
+    value_and_grad,
 )
 from .solver import (
     AdamState,
@@ -79,7 +75,6 @@ __all__ = [
     "DUMMY_LABEL",
     "DivergenceError",
     "EditPath",
-    "EigensolverError",
     "ExactResult",
     "GedError",
     "GraphFormatError",
@@ -95,15 +90,12 @@ __all__ = [
     "adjacency",
     "build_cost_matrix",
     "builtin_cost_model",
-    "convexity_lambda_bound",
     "estimate_ged",
     "exact_ged",
     "extract_edit_path",
     "ged_under_mapping",
     "generate_pairs",
-    "gradient",
     "inner_minimize",
-    "jacobi_eigenvalues",
     "load_corpus",
     "load_cost_model",
     "load_graph",
@@ -111,7 +103,6 @@ __all__ = [
     "make_graph",
     "objective",
     "pad_pair",
-    "penalized_objective",
     "quasi_perm_residual",
     "relabel_transform",
     "report_to_aggregate_json",
@@ -121,5 +112,6 @@ __all__ = [
     "save_graph",
     "scale_pair",
     "solve_assignment",
+    "value_and_grad",
     "write_corpus",
 ]

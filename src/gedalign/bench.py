@@ -252,7 +252,7 @@ def _solve_case(args: tuple[PairCase, CostModel, SolverConfig]) -> BenchRow:
     start = time.perf_counter()
     try:
         report = estimate_ged(case.g1, case.g2, cm, cfg)
-    except GedError as exc:
+    except Exception as exc:  # one failing pair must not abort the whole run
         wall_ms = (time.perf_counter() - start) * 1000.0
         return BenchRow(
             case_id=case.case_id,
@@ -264,7 +264,7 @@ def _solve_case(args: tuple[PairCase, CostModel, SolverConfig]) -> BenchRow:
             exact_match=None,
             rounds=0,
             wall_ms=wall_ms,
-            error=str(exc),
+            error=f"{type(exc).__name__}: {exc}",
         )
     wall_ms = (time.perf_counter() - start) * 1000.0
     abs_err = None

@@ -9,15 +9,16 @@ plus the edge term::
 
 Mapping a real node onto a padding node is a deletion, a padding node onto a
 real node an insertion, and two differently labeled real nodes a substitution.
-Both accounting functions below accumulate in sorted index order so repeated
-evaluation is bit-for-bit reproducible.
+One function, ``_mapping_costs``, evaluates this sum for the oracle, the
+solver and the edit path, adding node costs in index order so that a mapping
+gets the same bits wherever it is scored.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -108,37 +109,52 @@ class ExactResult:
     optimal_mapping: Permutation
 
 
+def _mapping_costs(
+    node_costs: Iterable[float | np.ndarray], edited_slots: int | np.ndarray, k2: float
+) -> float | np.ndarray:
+    """Exact cost of a mapping, or of a block of mappings at once; the one
+    definition of a mapping's cost.
+
+    ``node_costs`` yields, in node-index order, each node's cost under the
+    mapping (a float) or under every mapping of a block (an array), and
+    ``edited_slots`` counts the vertex pairs that are an edge on exactly one
+    side. The node costs are added one at a time in that order, then ``k2``
+    times the count. Python floats and float64 arrays round alike, so a
+    mapping gets the same bits alone and in every block; ``ndarray.sum`` may
+    add pairwise and would not.
+    """
+    total = 0.0
+    for cost in node_costs:
+        total = total + cost
+    return total + k2 * edited_slots
+
+
+def _score_block(
+    d: np.ndarray, a: np.ndarray, b: np.ndarray, perms: np.ndarray, k2: float
+) -> np.ndarray:
+    """Costs of the mappings in ``perms`` (one per row) from the node-cost
+    matrix ``d`` and the raw adjacency matrices ``a`` and ``b``."""
+    n = d.shape[0]
+    v1, v2 = np.triu_indices(n, 1)
+    edited = (a[v1, v2] != b[perms[:, v1], perms[:, v2]]).sum(axis=1)
+    return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
+
+
+def _slot(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
 def ged_under_mapping(pair: GraphPair, perm: Permutation, cm: CostModel) -> float:
     """Exact edit cost realized by ``perm`` on a padded pair."""
-    n = pair.order
-    if perm.order != n:
-        raise ValueError(f"mapping order {perm.order} does not match pair order {n}")
-    pool = pair.real_label_pool()
-    labels1 = pair.g1.labels
-    labels2 = pair.g2.labels
-    m = perm.mapping
-    total = 0.0
-    for v in range(n):
-        total += cm.node_edit_cost(labels1[v], labels2[m[v]], pool)
-    e1 = set(pair.g1.edges)
-    e2 = set(pair.g2.edges)
-    k2 = cm.edge_cost_squared
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            w1, w2 = m[v1], m[v2]
-            present1 = (v1, v2) in e1
-            present2 = ((w1, w2) if w1 < w2 else (w2, w1)) in e2
-            if present1 != present2:
-                total += k2
-    return total
+    return extract_edit_path(pair, perm, cm).total_cost
 
 
 def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> EditPath:
-    """Edit operations realized by ``perm``; total matches
-    :func:`ged_under_mapping` bit-for-bit.
+    """Edit operations realized by ``perm``, with their exact total.
 
-    Edge operations are reported in the first graph's index space; insertions
-    additionally name the inserted edge's endpoints in the second graph.
+    Edge operations are reported in the first graph's index space, ordered by
+    endpoints; insertions additionally name the inserted edge's endpoints in
+    the second graph.
     """
     n = pair.order
     if perm.order != n:
@@ -150,7 +166,7 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
     dummy1 = pair.g1.is_dummy
     dummy2 = pair.g2.is_dummy
     ops: list[EditOp] = []
-    total = 0.0
+    node_costs = [0.0] * n
     for v in range(n):
         w = m[v]
         l1 = labels1[v]
@@ -168,30 +184,23 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
             ops.append(
                 NodeSubstitute(node=v, target=w, from_label=l1, to_label=l2, cost=cost)
             )
-        total += cost
+        node_costs[v] = cost
+    # the edited slots are the symmetric difference of the first graph's
+    # edges, carried into the second graph's index space, and the second's
     e1 = set(pair.g1.edges)
-    e2 = set(pair.g2.edges)
+    inv = perm.inverse().mapping
+    carried = {_slot(m[v1], m[v2]) for v1, v2 in e1}
+    edited = sorted(
+        _slot(inv[w1], inv[w2]) for w1, w2 in carried.symmetric_difference(pair.g2.edges)
+    )
     k2 = cm.edge_cost_squared
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            w1, w2 = m[v1], m[v2]
-            present1 = (v1, v2) in e1
-            present2 = ((w1, w2) if w1 < w2 else (w2, w1)) in e2
-            if present1 == present2:
-                continue
-            if present1:
-                ops.append(EdgeDelete(node_a=v1, node_b=v2, cost=k2))
-            else:
-                ops.append(
-                    EdgeInsert(
-                        node_a=v1,
-                        node_b=v2,
-                        target_a=min(w1, w2),
-                        target_b=max(w1, w2),
-                        cost=k2,
-                    )
-                )
-            total += k2
+    for v1, v2 in edited:
+        if (v1, v2) in e1:
+            ops.append(EdgeDelete(node_a=v1, node_b=v2, cost=k2))
+        else:
+            w1, w2 = _slot(m[v1], m[v2])
+            ops.append(EdgeInsert(node_a=v1, node_b=v2, target_a=w1, target_b=w2, cost=k2))
+    total = _mapping_costs(node_costs, len(edited), k2)
     return EditPath(ops=tuple(ops), total_cost=total)
 
 
@@ -216,9 +225,8 @@ def exact_ged(
     Ties are broken toward the lexicographically smallest mapping. Refuses
     pairs whose padded order exceeds ``node_budget`` rather than approximating.
 
-    Mappings are scored in vectorized blocks; the winner is re-evaluated with
-    :func:`ged_under_mapping` so the reported value matches the per-mapping
-    accounting exactly.
+    Mappings are scored in vectorized blocks with the same accounting as
+    :func:`ged_under_mapping`, so the reported value is the winner's cost.
     """
     pair = pad_pair(g1, g2)
     n = pair.order
@@ -231,19 +239,14 @@ def exact_ged(
     d = build_cost_matrix(pair, cm)
     a = adjacency(pair.g1)
     b = adjacency(pair.g2)
-    k2 = cm.edge_cost_squared
-    rows = np.arange(n)
     best_total = np.inf
     best_perm: np.ndarray | None = None
     for perms in _permutation_blocks(n):
-        node_term = d[rows[None, :], perms].sum(axis=1)
-        permuted_b = b[perms[:, :, None], perms[:, None, :]]
-        mismatches = (a[None, :, :] != permuted_b).sum(axis=(1, 2)) // 2
-        totals = node_term + k2 * mismatches
+        totals = _score_block(d, a, b, perms, cm.edge_cost_squared)
         k = int(np.argmin(totals))
         if totals[k] < best_total:
             best_total = float(totals[k])
             best_perm = perms[k].copy()
     assert best_perm is not None
     mapping = Permutation(tuple(int(j) for j in best_perm))
-    return ExactResult(ged=ged_under_mapping(pair, mapping, cm), optimal_mapping=mapping)
+    return ExactResult(ged=best_total, optimal_mapping=mapping)

@@ -21,9 +21,5 @@ class DivergenceError(GedError):
     """The inner optimization produced a non-finite gradient or objective."""
 
 
-class EigensolverError(GedError):
-    """The Jacobi eigensolver hit its sweep cap before converging."""
-
-
 class CorpusFormatError(GedError):
     """A benchmark corpus directory does not have the expected layout."""

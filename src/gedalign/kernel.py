@@ -18,12 +18,11 @@ Everything in this module is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assignment import Permutation
-from .errors import EigensolverError
 
 
 @dataclass(frozen=True)
@@ -81,44 +80,30 @@ def _check_shapes(sp: ScaledPair, d: np.ndarray, p: np.ndarray) -> None:
 
 def objective(sp: ScaledPair, d: np.ndarray, p: np.ndarray, params: ObjectiveParams) -> float:
     """Relaxed objective value (no feasibility penalty)."""
-    _check_shapes(sp, d, p)
-    r = sp.a_scaled @ p - p @ sp.b_scaled
-    value = 0.5 * float(np.sum(r * r))
-    value += params.mu * float(np.sum(p * d))
-    value += params.lam * float(np.sum(p * (1.0 - p)))
+    value, _ = value_and_grad(sp, d, p, replace(params, sigma=0.0))
     return value
 
 
-def _feasibility_violation(p: np.ndarray) -> float:
-    row = p.sum(axis=1) - 1.0
-    col = p.sum(axis=0) - 1.0
-    return float(np.sum(row * row) + np.sum(col * col))
-
-
-def penalized_objective(
+def value_and_grad(
     sp: ScaledPair, d: np.ndarray, p: np.ndarray, params: ObjectiveParams
-) -> float:
-    """Objective plus ``sigma * (||P 1 - 1||^2 + ||P^T 1 - 1||^2)``."""
-    value = objective(sp, d, p, params)
-    if params.sigma != 0.0:
-        value += params.sigma * _feasibility_violation(p)
-    return value
+) -> tuple[float, np.ndarray]:
+    """Penalized objective and its analytic gradient with respect to ``P``.
 
-
-def gradient(
-    sp: ScaledPair, d: np.ndarray, p: np.ndarray, params: ObjectiveParams
-) -> np.ndarray:
-    """Analytic gradient of the penalized objective with respect to ``P``.
-
+    The value is the objective plus ``sigma * (||P 1 - 1||^2 + ||P^T 1 - 1||^2)``.
     Using symmetry of the scaled matrices, with ``R = A P - P B``::
 
         grad = A R - R B + mu * D + lam * (J - 2 P)
              + 2 * sigma * ((P 1 - 1) 1^T + 1 (P^T 1 - 1)^T)
+
+    ``R`` is formed once and serves both.
     """
     _check_shapes(sp, d, p)
     a = sp.a_scaled
     b = sp.b_scaled
     r = a @ p - p @ b
+    value = 0.5 * float(np.sum(r * r))
+    value += params.mu * float(np.sum(p * d))
+    value += params.lam * float(np.sum(p * (1.0 - p)))
     g = a @ r - r @ b
     if params.mu != 0.0:
         g += params.mu * d
@@ -127,8 +112,9 @@ def gradient(
     if params.sigma != 0.0:
         row = p.sum(axis=1) - 1.0
         col = p.sum(axis=0) - 1.0
+        value += params.sigma * float(np.sum(row * row) + np.sum(col * col))
         g += (2.0 * params.sigma) * (row[:, None] + col[None, :])
-    return g
+    return value, g
 
 
 def quasi_perm_residual(p: np.ndarray) -> float:
@@ -161,72 +147,3 @@ def relabel_transform(
     a2 = sp.a_scaled[np.ix_(inv, inv)]
     d2 = d[inv, :]
     return ScaledPair(a_scaled=a2, b_scaled=sp.b_scaled), d2
-
-
-def jacobi_eigenvalues(
-    m: np.ndarray, *, off_tol: float = 1e-10, max_sweeps: int = 100
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps stop when the Frobenius norm of the off-diagonal part drops to
-    ``off_tol``; exceeding ``max_sweeps`` raises :class:`EigensolverError`.
-    Returns eigenvalues sorted ascending.
-    """
-    a = np.array(m, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    if n <= 1:
-        return np.diag(a).copy()
-    off_part = np.empty_like(a)
-    for _ in range(max_sweeps):
-        np.copyto(off_part, a)
-        np.fill_diagonal(off_part, 0.0)
-        off = math.sqrt(float(np.sum(off_part * off_part)))
-        if off <= off_tol:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                if abs(apq) * 1e15 <= abs(a[p, p]) + abs(a[q, q]):
-                    # rotation would be a numerical no-op; drop the entry
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(tau * tau + 1.0))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(tau * tau + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise EigensolverError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
-
-
-def convexity_lambda_bound(sp: ScaledPair) -> float:
-    """Largest regularizer weight for which the relaxed objective stays convex.
-
-    Equals ``min_{i,j} (ev_i(A) - ev_j(B))^2 / 2`` over the eigenvalues of the
-    two scaled matrices. Diagnostic only: it is zero whenever the two spectra
-    intersect, and the solver's schedule does not consult it.
-    """
-    ev_a = jacobi_eigenvalues(sp.a_scaled)
-    ev_b = jacobi_eigenvalues(sp.b_scaled)
-    if ev_a.size == 0:
-        return 0.0
-    diff = ev_a[:, None] - ev_b[None, :]
-    return float(np.min(diff * diff) / 2.0)

@@ -22,17 +22,16 @@ import numpy as np
 
 from .assignment import Permutation, round_to_permutation
 from .costs import CostModel, build_cost_matrix
-from .editpath import EditPath, extract_edit_path, ged_under_mapping
+from .editpath import EditPath, _score_block, extract_edit_path
 from .errors import DivergenceError
 from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
 from .kernel import (
     ObjectiveParams,
     ScaledPair,
-    gradient,
     objective,
-    penalized_objective,
     relabel_transform,
     scale_pair,
+    value_and_grad,
 )
 
 logger = logging.getLogger(__name__)
@@ -150,16 +149,15 @@ def inner_minimize(
     p = np.asarray(p0, dtype=np.float64)
     state = AdamState.initial(p.shape)
     betas = (cfg.adam_beta1, cfg.adam_beta2)
-    prev = penalized_objective(sp, d, p, params)
+    prev, g = value_and_grad(sp, d, p, params)
     if not math.isfinite(prev):
         raise DivergenceError("non-finite objective at the inner start")
     best_p = p
     best_value = prev
     steps = 0
     for step in range(1, cfg.inner_max_iters + 1):
-        g = gradient(sp, d, p, params)
         p, state = adam_step(p, g, state, cfg.alpha, betas, cfg.adam_eps)
-        current = penalized_objective(sp, d, p, params)
+        current, g = value_and_grad(sp, d, p, params)
         steps = step
         if not math.isfinite(current):
             raise DivergenceError(f"non-finite objective at inner step {step}")
@@ -211,8 +209,16 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     if cfg is None:
         cfg = SolverConfig()
     n = pair.order
-    sp = scale_pair(adjacency(pair.g1), adjacency(pair.g2), cm.edge_cost_squared)
-    d = build_cost_matrix(pair, cm)
+    a = adjacency(pair.g1)
+    b = adjacency(pair.g2)
+    d_orig = build_cost_matrix(pair, cm)
+
+    def score(mapping: Permutation) -> float:
+        perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
+        return float(_score_block(d_orig, a, b, perms, cm.edge_cost_squared)[0])
+
+    sp = scale_pair(a, b, cm.edge_cost_squared)
+    d = d_orig
     p = np.eye(n, dtype=np.float64)
     # composition of the relabelings applied so far: maps the current
     # coordinate system back to the original node indices
@@ -233,12 +239,12 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         except DivergenceError:
             reason = DIVERGENCE_DETECTED
             if not math.isfinite(best_ged):
-                best_ged = ged_under_mapping(pair, base, cm)
+                best_ged = score(base)
                 best_mapping = base
             break
         rounding = round_to_permutation(p)
         candidate_mapping = base.then(rounding)
-        candidate = ged_under_mapping(pair, candidate_mapping, cm)
+        candidate = score(candidate_mapping)
         trace.append(
             RoundRecord(
                 round_index=rounds,

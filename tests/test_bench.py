@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gedalign.bench as bench_module
 from gedalign import (
     CorpusFormatError,
     builtin_cost_model,
@@ -132,6 +133,24 @@ class TestRunBench:
         assert by_id["bad-0000"].estimated_ged is None
         assert by_id["good-0000"].error is None
         assert report.mae == 0.0 and report.si == 1.0
+
+    def test_unexpected_exception_fails_only_its_pair(self, monkeypatch):
+        cases = small_corpus(seed=8, count=4)
+        real_estimate = bench_module.estimate_ged
+
+        def failing(g1, g2, cm, cfg=None):
+            if g1 is cases[1].g1:
+                raise ValueError("injected")
+            return real_estimate(g1, g2, cm, cfg)
+
+        monkeypatch.setattr(bench_module, "estimate_ged", failing)
+        report = run_bench(cases, CM3)
+        assert report.failures == 1
+        by_id = {row.case_id: row for row in report.rows}
+        assert by_id[cases[1].case_id].error == "ValueError: injected"
+        assert by_id[cases[1].case_id].estimated_ged is None
+        solved = [row for row in report.rows if row.case_id != cases[1].case_id]
+        assert all(row.error is None and row.estimated_ged is not None for row in solved)
 
     def test_no_truth_no_aggregates(self):
         case = PairCase(case_id="c", g1=graph("a"), g2=graph("a"))

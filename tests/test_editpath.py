@@ -188,6 +188,30 @@ class TestExactGed:
             ]
             assert res.ged == min(values)
 
+    def test_agrees_with_accounting_under_fractional_costs(self):
+        # non-integer costs give different bits under different summation
+        # orders; the oracle's value must still be the minimum of the
+        # per-mapping accounting, bit for bit, attained first in
+        # lexicographic order, and equal to its edit path's total
+        cm = CostModel(
+            edge_cost_squared=0.3,
+            insert_default=0.1,
+            delete_default=0.7,
+            substitute_default=0.2,
+        )
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            g1 = random_graph(rng, int(rng.integers(3, 6)), ("a", "b", "c"))
+            g2 = random_graph(rng, int(rng.integers(3, 6)), ("a", "b", "c"))
+            pair = pad_pair(g1, g2)
+            mappings = [Permutation(p) for p in itertools.permutations(range(pair.order))]
+            values = [ged_under_mapping(pair, perm, cm) for perm in mappings]
+            best = min(values)
+            res = exact_ged(g1, g2, cm)
+            assert res.ged == best
+            assert res.optimal_mapping == mappings[values.index(best)]
+            assert extract_edit_path(pair, res.optimal_mapping, cm).total_cost == res.ged
+
     def test_lexicographic_tie_break(self):
         # two isolated equal-label nodes: every mapping costs 0, identity wins
         g = graph("aa")

@@ -1,21 +1,17 @@
-"""Relaxed objective, gradient, residual, relabeling, and the spectral bound."""
+"""Relaxed objective, value-and-gradient kernel, residual, and relabeling."""
 
 import numpy as np
 import pytest
 
 from gedalign import (
-    EigensolverError,
     ObjectiveParams,
     Permutation,
     ScaledPair,
-    convexity_lambda_bound,
-    gradient,
-    jacobi_eigenvalues,
     objective,
-    penalized_objective,
     quasi_perm_residual,
     relabel_transform,
     scale_pair,
+    value_and_grad,
 )
 from conftest import random_symmetric
 
@@ -47,8 +43,8 @@ def finite_difference(sp, d, p, params, h=1e-5):
             minus = p.copy()
             minus[i, j] -= h
             fd[i, j] = (
-                penalized_objective(sp, d, plus, params)
-                - penalized_objective(sp, d, minus, params)
+                value_and_grad(sp, d, plus, params)[0]
+                - value_and_grad(sp, d, minus, params)[0]
             ) / (2.0 * h)
     return fd
 
@@ -82,30 +78,41 @@ class TestPenalizedObjective:
         d = rng.random((2, 2))
         p = np.full((2, 2), 0.5)
         params = ObjectiveParams(mu=1.0, lam=0.3, sigma=50.0)
-        assert penalized_objective(sp, d, p, params) == objective(sp, d, p, params)
+        assert value_and_grad(sp, d, p, params)[0] == objective(sp, d, p, params)
 
     def test_zero_matrix_violation(self):
         sp = ScaledPair(np.zeros((2, 2)), np.zeros((2, 2)))
         params = ObjectiveParams(mu=0.0, lam=0.0, sigma=1.0)
-        value = penalized_objective(sp, np.zeros((2, 2)), np.zeros((2, 2)), params)
+        value, _ = value_and_grad(sp, np.zeros((2, 2)), np.zeros((2, 2)), params)
         assert value == 4.0  # each of the 2 rows and 2 columns misses its sum by 1
 
     def test_sigma_zero_is_plain_objective(self, rng):
         sp, d, p = random_instance(rng, 4)
         params = ObjectiveParams(mu=1.0, lam=0.7, sigma=0.0)
-        assert penalized_objective(sp, d, p, params) == objective(sp, d, p, params)
+        assert value_and_grad(sp, d, p, params)[0] == objective(sp, d, p, params)
+
+    def test_adds_sigma_times_violation(self, rng):
+        for _ in range(10):
+            sp, d, p = random_instance(rng, int(rng.integers(2, 7)))
+            params = ObjectiveParams(mu=1.3, lam=0.7, sigma=float(rng.uniform(0.5, 5.0)))
+            row = p.sum(axis=1) - 1.0
+            col = p.sum(axis=0) - 1.0
+            violation = float(np.sum(row * row) + np.sum(col * col))
+            expected = objective(sp, d, p, params) + params.sigma * violation
+            assert value_and_grad(sp, d, p, params)[0] == expected
 
 
 class TestGradient:
     def test_stationary_at_identity_on_equal_matrices(self):
         sp = ScaledPair(K2, K2)
-        g = gradient(sp, np.zeros((2, 2)), np.eye(2), ObjectiveParams(mu=1.0))
+        _, g = value_and_grad(sp, np.zeros((2, 2)), np.eye(2), ObjectiveParams(mu=1.0))
         assert not g.any()
 
     def test_pure_linear_term_is_cost_matrix(self, rng):
         d = rng.random((3, 3))
         sp = ScaledPair(np.zeros((3, 3)), np.zeros((3, 3)))
-        g = gradient(sp, d, np.zeros((3, 3)), ObjectiveParams(mu=1.0, lam=0.0, sigma=0.0))
+        params = ObjectiveParams(mu=1.0, lam=0.0, sigma=0.0)
+        _, g = value_and_grad(sp, d, np.zeros((3, 3)), params)
         # sigma = 0 silences the penalty; what remains is mu * D
         assert np.array_equal(g, d)
 
@@ -119,7 +126,7 @@ class TestGradient:
                 lam=float(rng.uniform(0.1, 2.0)),
                 sigma=float(rng.uniform(0.5, 5.0)),
             )
-            g = gradient(sp, d, p, params)
+            _, g = value_and_grad(sp, d, p, params)
             fd = finite_difference(sp, d, p, params)
             rel = np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
             worst = max(worst, float(rel.max()))
@@ -173,8 +180,8 @@ class TestRelabelTransform:
             assert objective(sp2, d2, p2, params) == pytest.approx(
                 objective(sp, d, p, params), abs=1e-12
             )
-            assert penalized_objective(sp2, d2, p2, params) == pytest.approx(
-                penalized_objective(sp, d, p, params), abs=1e-12
+            assert value_and_grad(sp2, d2, p2, params)[0] == pytest.approx(
+                value_and_grad(sp, d, p, params)[0], abs=1e-12
             )
 
     def test_involution_restores_exactly(self, rng):
@@ -189,49 +196,3 @@ class TestRelabelTransform:
         sp, d, _ = random_instance(rng, 4)
         with pytest.raises(ValueError, match="order"):
             relabel_transform(sp, d, Permutation.identity(3))
-
-
-class TestJacobiEigenvalues:
-    def test_matches_reference_solver(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 11))
-            m = random_symmetric(rng, n, scale=float(rng.uniform(0.5, 4.0)))
-            got = jacobi_eigenvalues(m)
-            want = np.sort(np.linalg.eigvalsh(m))
-            assert np.abs(got - want).max() <= 1e-9
-
-    def test_requires_symmetry(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_sweep_cap_raises(self):
-        m = random_symmetric(np.random.default_rng(3), 8)
-        with pytest.raises(EigensolverError, match="sweeps"):
-            jacobi_eigenvalues(m, max_sweeps=1)
-
-
-class TestConvexityBound:
-    def test_k2_against_empty(self):
-        sp = scale_pair(K2, np.zeros((2, 2)), 1.0)
-        # spectra are {-1, +1} and {0, 0}; closest gap squared over two is 1/2
-        assert convexity_lambda_bound(sp) == pytest.approx(0.5, abs=1e-12)
-
-    def test_equal_matrices_give_zero(self):
-        sp = scale_pair(K2, K2, 2.0)
-        assert convexity_lambda_bound(sp) == pytest.approx(0.0, abs=1e-12)
-
-    def test_scales_quadratically_with_kappa(self):
-        sp = scale_pair(K2, np.zeros((2, 2)), 4.0)  # kappa = 2
-        assert convexity_lambda_bound(sp) == pytest.approx(2.0, abs=1e-12)
-
-    def test_invariant_under_relabeling(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            a = random_symmetric(rng, n)
-            b = random_symmetric(rng, n)
-            sp = ScaledPair(a, b)
-            h = Permutation(tuple(int(x) for x in rng.permutation(n)))
-            sp2, _ = relabel_transform(sp, np.zeros((n, n)), h)
-            assert convexity_lambda_bound(sp2) == pytest.approx(
-                convexity_lambda_bound(sp), abs=1e-9
-            )

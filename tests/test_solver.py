@@ -23,8 +23,8 @@ from gedalign import (
     inner_minimize,
     solve_pair,
     pad_pair,
-    penalized_objective,
     scale_pair,
+    value_and_grad,
 )
 from gedalign.solver import DIVERGENCE_DETECTED, PATIENCE_EXHAUSTED
 from conftest import graph, random_graph
@@ -84,7 +84,7 @@ class TestInnerMinimize:
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         params = ObjectiveParams(mu=1.0, sigma=1.0)
         p, _ = inner_minimize(sp, d, np.eye(3), params, CFG)
-        assert penalized_objective(sp, d, p, params) == 0.0
+        assert value_and_grad(sp, d, p, params)[0] == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
         # one edge against two isolated nodes: spreading mass lowers the
@@ -96,9 +96,9 @@ class TestInnerMinimize:
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         params = ObjectiveParams(mu=1.0, lam=0.0, sigma=100.0)
         start = np.eye(2)
-        value_at_start = penalized_objective(sp, d, start, params)
+        value_at_start = value_and_grad(sp, d, start, params)[0]
         p, _ = inner_minimize(sp, d, start, params, CFG)
-        assert penalized_objective(sp, d, p, params) < value_at_start
+        assert value_and_grad(sp, d, p, params)[0] < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
         for _ in range(10):
@@ -113,8 +113,8 @@ class TestInnerMinimize:
             p0 = rng.random((pair.order, pair.order))
             p, _ = inner_minimize(sp, d, p0, params, CFG)
             assert (
-                penalized_objective(sp, d, p, params)
-                <= penalized_objective(sp, d, p0, params) + CFG.inner_tol
+                value_and_grad(sp, d, p, params)[0]
+                <= value_and_grad(sp, d, p0, params)[0] + CFG.inner_tol
             )
 
 
@@ -197,17 +197,17 @@ class TestSolvePair:
         assert estimate_ged(graph("a"), graph(""), cm).estimated_ged == 1.0
 
     def test_divergence_is_reported(self, monkeypatch):
-        real_gradient = solver_module.gradient
+        real_value_and_grad = solver_module.value_and_grad
         calls = {"n": 0}
 
         def exploding(sp, d, p, params):
             calls["n"] += 1
-            g = real_gradient(sp, d, p, params)
+            value, g = real_value_and_grad(sp, d, p, params)
             if calls["n"] > 3:
                 g = g + np.nan
-            return g
+            return value, g
 
-        monkeypatch.setattr(solver_module, "gradient", exploding)
+        monkeypatch.setattr(solver_module, "value_and_grad", exploding)
         report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"))
         assert report.converged_reason == DIVERGENCE_DETECTED
         # the fallback mapping still explains the reported value
