@@ -127,6 +127,7 @@ def _report_json(pair: GraphPair, report: SolveReport) -> dict:
             for rec in report.trace
         ],
         "converged_reason": report.converged_reason,
+        "lower_bound": report.lower_bound,
     }
 
 

@@ -12,11 +12,19 @@ real node an insertion, and two differently labeled real nodes a substitution.
 One function, ``_mapping_costs``, evaluates this sum for the oracle, the
 solver and the edit path, adding node costs in index order so that a mapping
 gets the same bits wherever it is scored.
+
+``lower_bound`` gives a cheap bound that no mapping can undercut. When every
+cost is an integer and every sum stays below ``2**53``, all of these sums are
+exact, so a mapping whose cost reaches the bound is provably optimal; the
+solver stops there. The oracle does not: it always scores all ``n!``
+mappings, so its running time depends on the order alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -30,7 +38,8 @@ from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
 #: Default cap on the padded order accepted by the exhaustive oracle.
 DEFAULT_NODE_BUDGET = 9
 
-_PERM_BLOCK = 5040  # permutations per scoring block; bounds peak memory
+_PERM_TAIL = 7  # trailing positions enumerated within one scoring block
+_PERM_BLOCK = math.factorial(_PERM_TAIL)  # permutations per block; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,36 @@ def _score_block(
     return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
 
 
+def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float | None:
+    """Certified lower bound on the cost of every mapping, or ``None``.
+
+    A bijection pays at least each row's minimum of the node-cost matrix ``d``
+    and at least each column's minimum, and it edits at least as many edge
+    slots as the edge counts of the adjacency matrices ``a`` and ``b`` differ
+    by. The bound is the larger node sum plus ``k2`` times that difference.
+
+    It is returned only when it is exact in float64 and so is the cost of
+    every mapping: every node cost and ``k2`` are integers (costs are
+    nonnegative by construction) and ``d.sum() + k2 * n**2`` stays below
+    ``2**53``. A mapping whose cost is at most the bound is then optimal, bit
+    for bit. Otherwise ``None``.
+    """
+    n = d.shape[0]
+    k2 = float(k2)
+    exact = (
+        k2.is_integer()
+        and bool(np.all(np.floor(d) == d))
+        and d.sum() + k2 * n * n < 2.0**53
+    )
+    if not exact:
+        return None
+    if n == 0:
+        return 0.0
+    node = max(d.min(axis=1).sum(), d.min(axis=0).sum())
+    edge_gap = abs(np.count_nonzero(a) - np.count_nonzero(b)) // 2
+    return float(node + k2 * edge_gap)
+
+
 def _slot(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
@@ -204,14 +243,40 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
     return EditPath(ops=tuple(ops), total_cost=total)
 
 
+@functools.lru_cache(maxsize=None)
+def _lex_table(k: int) -> np.ndarray:
+    """All permutations of ``0..k-1`` in lexicographic order, one per row.
+
+    The tables are read-only because every caller shares them; only orders up
+    to ``_PERM_TAIL`` are ever asked for, so the cache stays small.
+    """
+    count = math.factorial(k)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    table = np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
+    table.setflags(write=False)
+    return table
+
+
 def _permutation_blocks(n: int) -> Iterator[np.ndarray]:
-    """Lexicographically ordered permutations of ``0..n-1`` in bounded blocks."""
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, _PERM_BLOCK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+    """Lexicographically ordered permutations of ``0..n-1`` in bounded blocks.
+
+    Up to ``_PERM_TAIL`` nodes the whole enumeration is one block. Beyond, each
+    block fixes one prefix of ``n - _PERM_TAIL`` values, taken in lexicographic
+    order, and runs the cached table of the tail over the remaining values in
+    increasing order.
+    """
+    if n <= _PERM_TAIL:
+        yield _lex_table(n)
+        return
+    tail = _lex_table(_PERM_TAIL)
+    head = n - _PERM_TAIL
+    for prefix in itertools.permutations(range(n), head):
+        rest = np.ones(n, dtype=bool)
+        rest[list(prefix)] = False
+        block = np.empty((_PERM_BLOCK, n), dtype=np.int64)
+        block[:, :head] = prefix
+        block[:, head:] = np.flatnonzero(rest)[tail]
+        yield block
 
 
 def exact_ged(
@@ -225,8 +290,10 @@ def exact_ged(
     Ties are broken toward the lexicographically smallest mapping. Refuses
     pairs whose padded order exceeds ``node_budget`` rather than approximating.
 
-    Mappings are scored in vectorized blocks with the same accounting as
-    :func:`ged_under_mapping`, so the reported value is the winner's cost.
+    Mappings are scored in vectorized blocks, in lexicographic order, with the
+    same accounting as :func:`ged_under_mapping`, so the reported value is the
+    winner's cost. Every mapping is scored, whatever the pair, so the cost
+    of a call is fixed by the padded order.
     """
     pair = pad_pair(g1, g2)
     n = pair.order

@@ -9,6 +9,14 @@ per round, the feasibility penalty by a growth factor up to a cap. The best
 scored mapping over all rounds is reported; by construction it can only
 overestimate the true distance.
 
+Before the first round the solve computes the certified lower bound of
+:func:`editpath.lower_bound`. When the costs make every sum exact, a round
+whose best mapping costs no more than the bound has found the optimum, and
+the solve stops there with ``converged_reason="certified_optimal"``. The
+incumbent only changes on strict improvement and no mapping scores below the
+bound, so this stop changes no estimate, mapping or edit path; only the trace
+gets shorter.
+
 A solve is strictly single-threaded and bit-for-bit deterministic.
 """
 
@@ -22,7 +30,7 @@ import numpy as np
 
 from .assignment import Permutation, round_to_permutation
 from .costs import CostModel, build_cost_matrix
-from .editpath import EditPath, _score_block, extract_edit_path
+from .editpath import EditPath, _score_block, extract_edit_path, lower_bound
 from .errors import DivergenceError
 from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
 from .kernel import (
@@ -40,6 +48,7 @@ logger = logging.getLogger(__name__)
 PATIENCE_EXHAUSTED = "patience_exhausted"
 LAMBDA_ROUNDS_EXHAUSTED = "lambda_rounds_exhausted"
 DIVERGENCE_DETECTED = "divergence_detected"
+CERTIFIED_OPTIMAL = "certified_optimal"
 
 
 @dataclass(frozen=True)
@@ -185,13 +194,15 @@ class RoundRecord:
 @dataclass(frozen=True)
 class SolveReport:
     """Result of one solve: the distance bound, the mapping explaining it,
-    its edit path, and the per-round trace."""
+    its edit path, the per-round trace, and the certified lower bound
+    (``None`` when the costs do not allow an exact one)."""
 
     estimated_ged: float
     permutation: Permutation
     edit_path: EditPath
     trace: tuple[RoundRecord, ...]
     converged_reason: str
+    lower_bound: float | None = None
 
 
 def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) -> SolveReport:
@@ -203,8 +214,8 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     the problem around the rounding and move the iterate next to the identity.
     The regularizer weight increases by ``lambda_step`` per round and the
     penalty coefficient by ``sigma_growth`` up to ``sigma_cap``. Stops when
-    the best score has not improved for ``patience`` rounds, at the round cap,
-    or on a non-finite objective.
+    the best score meets the certified lower bound, when it has not improved
+    for ``patience`` rounds, at the round cap, or on a non-finite objective.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -212,6 +223,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     a = adjacency(pair.g1)
     b = adjacency(pair.g2)
     d_orig = build_cost_matrix(pair, cm)
+    lb = lower_bound(d_orig, a, b, cm.edge_cost_squared)
 
     def score(mapping: Permutation) -> float:
         perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
@@ -265,6 +277,9 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
             stall = 0
         else:
             stall += 1
+        if lb is not None and best_ged <= lb:
+            reason = CERTIFIED_OPTIMAL
+            break
         if stall >= cfg.patience:
             reason = PATIENCE_EXHAUSTED
             break
@@ -286,6 +301,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         edit_path=path,
         trace=tuple(trace),
         converged_reason=reason,
+        lower_bound=lb,
     )
 
 

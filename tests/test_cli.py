@@ -36,13 +36,14 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["estimated_ged"] == 0.0
         assert doc["converged_reason"]
+        assert "lower_bound" in doc
         assert doc["edit_path"]["ops"] == []
 
     def test_triangle_vs_path(self, graph_files, capsys):
         code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--cost", "case3"])
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["estimated_ged"] == 1.0
+        assert doc["estimated_ged"] == doc["lower_bound"] == 1.0
         assert len(doc["mapping"]) == 3
         assert doc["trace"][0]["lambda"] == 0.0
 

@@ -21,7 +21,16 @@ from gedalign import (
     pad_pair,
     scale_pair,
 )
-from gedalign.editpath import EdgeDelete, EdgeInsert, NodeDelete, NodeInsert, NodeSubstitute
+from gedalign.editpath import (
+    _PERM_BLOCK,
+    EdgeDelete,
+    EdgeInsert,
+    NodeDelete,
+    NodeInsert,
+    NodeSubstitute,
+    _permutation_blocks,
+    lower_bound,
+)
 from conftest import graph, random_graph
 
 TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
@@ -224,6 +233,42 @@ class TestExactGed:
         cm = builtin_cost_model("case1")
         first = exact_ged(g1, g2, cm)
         assert all(exact_ged(g1, g2, cm) == first for _ in range(3))
+
+    def test_optimum_in_the_last_block(self):
+        # node 0 must go to node 7, so the first seven blocks (prefix 0..6)
+        # cost at least 2 and only the last one holds a mapping of cost 0
+        cm = CostModel(
+            edge_cost_squared=1.0, insert_default=1.0, delete_default=1.0, substitute_default=1.0
+        )
+        res = exact_ged(graph("b" + "a" * 7), graph("a" * 7 + "b"), cm)
+        assert res.ged == 0.0
+        assert res.optimal_mapping == Permutation((7, 0, 1, 2, 3, 4, 5, 6))
+
+    def test_permutation_blocks_are_the_lexicographic_enumeration(self):
+        for n in range(10):
+            blocks = list(_permutation_blocks(n))
+            assert all(len(block) <= _PERM_BLOCK for block in blocks)
+            expected = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+            assert np.array_equal(np.concatenate(blocks), expected)
+
+
+class TestLowerBound:
+    def test_row_column_and_edge_terms(self):
+        d = np.array([[0.0, 5.0], [3.0, 4.0]])
+        a = adjacency(graph("ab", [(0, 1)]))
+        b = adjacency(graph("ab"))
+        # rows give 0 + 3, columns 0 + 4; one edge slot must change
+        assert lower_bound(d, a, b, 2.0) == 4.0 + 2.0
+
+    def test_none_unless_sums_are_exact(self):
+        a = b = np.zeros((2, 2))
+        # a fractional node cost
+        assert lower_bound(np.array([[0.0, 0.5], [1.0, 0.0]]), a, b, 1.0) is None
+        # d.sum() + k2 * n**2 reaches 2**53, then stays just below it
+        assert lower_bound(np.full((2, 2), 2.0**51), a, b, 1.0) is None
+        assert lower_bound(np.full((2, 2), 2.0**50), a, b, 1.0) == 2.0**51
+        empty = np.zeros((0, 0))
+        assert lower_bound(empty, empty, empty, 1.0) == 0.0
 
 
 class TestObjectiveEquivalence:

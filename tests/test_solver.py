@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gedalign.editpath as editpath_module
 import gedalign.solver as solver_module
 from gedalign import (
     AdamState,
@@ -20,17 +21,26 @@ from gedalign import (
     estimate_ged,
     exact_ged,
     ged_under_mapping,
+    generate_pairs,
     inner_minimize,
     solve_pair,
     pad_pair,
     scale_pair,
     value_and_grad,
 )
-from gedalign.solver import DIVERGENCE_DETECTED, PATIENCE_EXHAUSTED
+from gedalign.solver import (
+    CERTIFIED_OPTIMAL,
+    DIVERGENCE_DETECTED,
+    LAMBDA_ROUNDS_EXHAUSTED,
+    PATIENCE_EXHAUSTED,
+)
 from conftest import graph, random_graph
 
 TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph("xxx", [(0, 1), (1, 2)])
+# equal labels and edge counts: lower bound 0 under case3, true distance 2
+PATH4 = graph("aaaa", [(0, 1), (1, 2), (2, 3)])
+STAR4 = graph("aaaa", [(0, 1), (0, 2), (0, 3)])
 CFG = SolverConfig()
 
 
@@ -146,8 +156,14 @@ class TestSolvePair:
         assert report.estimated_ged == 2.0
 
     def test_trace_and_best_tracking(self):
+        # the bound (1) equals the truth, so the first optimal round ends it
         report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"))
-        assert report.estimated_ged == min(rec.candidate_ged for rec in report.trace)
+        assert report.estimated_ged == report.lower_bound == 1.0
+        assert report.converged_reason == CERTIFIED_OPTIMAL
+        # the bound (0) is below the truth (2), so only patience ends it
+        report = estimate_ged(PATH4, STAR4, builtin_cost_model("case3"))
+        assert report.lower_bound == 0.0
+        assert report.estimated_ged == min(rec.candidate_ged for rec in report.trace) == 2.0
         assert report.trace[0].lam == 0.0
         assert [rec.round_index for rec in report.trace] == list(
             range(1, len(report.trace) + 1)
@@ -163,7 +179,8 @@ class TestSolvePair:
             pair = pad_pair(g1, g2)
             assert report.estimated_ged == ged_under_mapping(pair, report.permutation, cm)
             assert report.edit_path.total_cost == report.estimated_ged
-            assert report.estimated_ged >= exact_ged(g1, g2, cm).ged - 1e-9
+            truth = exact_ged(g1, g2, cm).ged
+            assert report.lower_bound <= truth <= report.estimated_ged
 
     def test_bit_for_bit_determinism(self, rng):
         g1 = random_graph(rng, 6, ("1", "2", "3"))
@@ -175,9 +192,9 @@ class TestSolvePair:
 
     def test_lambda_round_cap(self):
         cfg = replace(CFG, lambda_max_rounds=2, patience=5)
-        report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"), cfg)
+        report = estimate_ged(PATH4, STAR4, builtin_cost_model("case3"), cfg)
         assert len(report.trace) == 2
-        assert report.converged_reason == "lambda_rounds_exhausted"
+        assert report.converged_reason == LAMBDA_ROUNDS_EXHAUSTED
 
     def test_empty_pair(self):
         report = estimate_ged(graph(""), graph(""), builtin_cost_model("case3"))
@@ -215,6 +232,71 @@ class TestSolvePair:
         assert report.estimated_ged == ged_under_mapping(
             pair, report.permutation, builtin_cost_model("case3")
         )
+
+
+class TestCertifiedStop:
+    def test_stop_changes_no_result(self, monkeypatch):
+        # the certified stop against solves with no bound: same estimates,
+        # mappings and edit paths, and every certified estimate is the truth
+        pairs = []
+        for setting in ("case1", "case3"):
+            cm = builtin_cost_model(setting)
+            cases = generate_pairs(
+                seed=11,
+                count=15,
+                n_range=(4, 8),
+                edit_range=(0, 3),
+                label_alphabet=("0", "1", "2", "3"),
+                cm=cm,
+                max_order=8,
+                oracle_budget=0,
+            )
+            pairs += [(case.g1, case.g2, cm) for case in cases]
+
+        def run():
+            return [estimate_ged(g1, g2, cm) for g1, g2, cm in pairs]
+
+        stopped = run()
+        monkeypatch.setattr(solver_module, "lower_bound", lambda *args: None)
+        full = run()
+        assert any(r.converged_reason == CERTIFIED_OPTIMAL for r in stopped)
+        for (g1, g2, cm), r1, r2 in zip(pairs, stopped, full):
+            assert r1.estimated_ged == r2.estimated_ged
+            assert r1.permutation == r2.permutation
+            assert r1.edit_path == r2.edit_path
+            if r1.converged_reason == CERTIFIED_OPTIMAL:
+                assert r1.estimated_ged == r1.lower_bound == exact_ged(g1, g2, cm).ged
+
+    @pytest.mark.parametrize(
+        "cm",
+        [
+            # fractional costs: sums are not exact
+            CostModel(
+                edge_cost_squared=0.3,
+                insert_default=0.1,
+                delete_default=0.7,
+                substitute_default=0.2,
+            ),
+            # integral costs whose sums pass 2**53
+            CostModel(edge_cost_squared=2.0**50, insert_default=1.0, delete_default=1.0),
+        ],
+        ids=["fractional", "past_2_53"],
+    )
+    def test_no_certificate_without_exact_sums(self, cm):
+        # without the guard TRIANGLE vs PATH3 would be certified: its bound,
+        # one edge, is its distance
+        pair = pad_pair(TRIANGLE, PATH3)
+        a, b = adjacency(pair.g1), adjacency(pair.g2)
+        d = build_cost_matrix(pair, cm)
+        assert editpath_module.lower_bound(d, a, b, cm.edge_cost_squared) is None
+        rng = np.random.default_rng(3)
+        pairs = [(TRIANGLE, PATH3)] + [
+            (random_graph(rng, 4, ("a", "b")), random_graph(rng, 5, ("a", "b"))) for _ in range(4)
+        ]
+        for g1, g2 in pairs:
+            report = estimate_ged(g1, g2, cm)
+            assert report.lower_bound is None
+            assert report.converged_reason != CERTIFIED_OPTIMAL
 
 
 class TestAblationModes:
