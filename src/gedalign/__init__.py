@@ -48,7 +48,6 @@ from .kernel import (
     ScaledPair,
     objective,
     quasi_perm_residual,
-    relabel_transform,
     scale_pair,
     value_and_grad,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "objective",
     "pad_pair",
     "quasi_perm_residual",
-    "relabel_transform",
     "report_to_aggregate_json",
     "report_to_csv",
     "round_to_permutation",

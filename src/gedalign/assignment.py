@@ -116,14 +116,33 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
     pinned_col = np.zeros(n, dtype=bool)
 
     def reroute(row: int, visited: np.ndarray) -> bool:
-        for j in range(n):
-            if not tight[row, j] or pinned_col[j] or visited[j]:
+        # Depth-first search for an alternating path from ``row`` to a free
+        # column, with an explicit stack so that its depth is not bounded by
+        # the recursion limit. Each row scans its tight, unpinned columns in
+        # index order and skips those visited by then; on success every row
+        # on the stack takes the column it went through.
+        unpinned = ~pinned_col
+        rows = [row]
+        cols: list[int] = []
+        scans = [iter(np.flatnonzero(tight[row] & unpinned).tolist())]
+        while scans:
+            j = next((c for c in scans[-1] if not visited[c]), -1)
+            if j == -1:
+                scans.pop()
+                rows.pop()
+                if cols:
+                    cols.pop()
                 continue
             visited[j] = True
-            if row_of[j] == -1 or reroute(int(row_of[j]), visited):
-                col_of[row] = j
-                row_of[j] = row
+            cols.append(j)
+            nxt = int(row_of[j])
+            if nxt == -1:
+                for r, c in zip(rows, cols):
+                    col_of[r] = c
+                    row_of[c] = r
                 return True
+            rows.append(nxt)
+            scans.append(iter(np.flatnonzero(tight[nxt] & unpinned).tolist()))
         return False
 
     for i in range(n):

@@ -64,11 +64,6 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="keep the permutation-inducing regularizer off (ablation)",
     )
-    parser.add_argument(
-        "--no-inverse-relabel",
-        action="store_true",
-        help="skip per-round problem recentering (ablation)",
-    )
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -79,7 +74,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         patience=args.patience,
         sigma_cap=args.sigma_cap,
         enable_regularizer=not args.no_regularizer,
-        enable_inverse_relabel=not args.no_inverse_relabel,
     )
 
 

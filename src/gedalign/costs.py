@@ -67,11 +67,6 @@ class CostModel:
                     f"substitution cost for identical label {l1!r} must be 0"
                 )
 
-    @property
-    def kappa(self) -> float:
-        """Scaling factor applied to adjacency matrices: sqrt(edge cost)."""
-        return math.sqrt(self.edge_cost_squared)
-
     def node_insert_cost(self, label: str) -> float:
         return float(self.insert_costs.get(label, self.insert_default))
 

@@ -212,14 +212,12 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
         l2 = labels2[w]
         if l1 == l2:
             continue
+        cost = cm.node_edit_cost(l1, l2, pool)
         if dummy1(v):
-            cost = cm.node_insert_cost(l2)
             ops.append(NodeInsert(target=w, label=l2, cost=cost))
         elif dummy2(w):
-            cost = cm.node_delete_cost(l1)
             ops.append(NodeDelete(node=v, label=l1, cost=cost))
         else:
-            cost = cm.node_substitute_cost(l1, l2, pool)
             ops.append(
                 NodeSubstitute(node=v, target=w, from_label=l1, to_label=l2, cost=cost)
             )

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import Permutation
-
 
 @dataclass(frozen=True)
 class ScaledPair:
@@ -126,24 +124,3 @@ def quasi_perm_residual(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     return float(np.sum(p * (1.0 - p)))
 
-
-def relabel_transform(
-    sp: ScaledPair, d: np.ndarray, h: Permutation
-) -> tuple[ScaledPair, np.ndarray]:
-    """Recenter the problem around a rounded permutation ``h``.
-
-    Returns ``(H^T A H, B)`` and ``H^T D``: the orientation in which the
-    objective at ``H^T P`` equals the original objective at ``P`` for every
-    ``P`` (same ``mu``, ``lam``, ``sigma``). Applied with ``h`` equal to the
-    last rounding, the incumbent alignment moves next to the identity, so the
-    next round makes small corrections in a well-centered coordinate system.
-
-    The transform is computed by exact index permutation, not matrix products.
-    """
-    n = sp.order
-    if h.order != n:
-        raise ValueError(f"permutation order {h.order} does not match matrices of order {n}")
-    inv = np.array(h.inverse().mapping, dtype=np.int64)
-    a2 = sp.a_scaled[np.ix_(inv, inv)]
-    d2 = d[inv, :]
-    return ScaledPair(a_scaled=a2, b_scaled=sp.b_scaled), d2

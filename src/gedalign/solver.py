@@ -2,12 +2,16 @@
 
 One solve runs rounds of projected Adam on the penalized relaxed objective.
 Each round ends by rounding the relaxed alignment to a permutation (exact
-assignment on the overlap), scoring the composed mapping with the exact edit
-accounting, and recentering the problem around the rounding so the next round
-restarts next to the identity. The regularizer weight grows by a fixed step
-per round, the feasibility penalty by a growth factor up to a cap. The best
-scored mapping over all rounds is reported; by construction it can only
-overestimate the true distance.
+assignment on the overlap) and scoring that mapping with the exact edit
+accounting. The regularizer weight grows by a fixed step per round, the
+feasibility penalty by a growth factor up to a cap. The best scored mapping
+over all rounds is reported; by construction it can only overestimate the
+true distance.
+
+The problem keeps its original node coordinates for the whole solve:
+recentering it around each rounding would only permute the rows of the
+iterate and of the gradient, and Adam, restarted every round and updating
+each entry on its own, would then take the same steps to the same roundings.
 
 Before the first round the solve computes the certified lower bound of
 :func:`editpath.lower_bound`. When the costs make every sum exact, a round
@@ -37,7 +41,6 @@ from .kernel import (
     ObjectiveParams,
     ScaledPair,
     objective,
-    relabel_transform,
     scale_pair,
     value_and_grad,
 )
@@ -57,8 +60,7 @@ class SolverConfig:
 
     ``enable_regularizer=False`` keeps the regularizer weight at zero for the
     whole solve, so every round just rounds the feasibility-penalized relaxed
-    solution. ``enable_inverse_relabel=False`` skips the per-round recentering
-    and keeps optimizing in the original coordinates.
+    solution.
     """
 
     mu: float = 1.0
@@ -75,7 +77,6 @@ class SolverConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     enable_regularizer: bool = True
-    enable_inverse_relabel: bool = True
 
     def __post_init__(self) -> None:
         positive = (
@@ -209,36 +210,32 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     """Estimate the edit distance of a padded pair.
 
     The alignment starts at the identity with the regularizer off. Every
-    round: minimize, round to a permutation, compose it onto the accumulated
-    mapping, score the composition exactly, then (unless disabled) recenter
-    the problem around the rounding and move the iterate next to the identity.
-    The regularizer weight increases by ``lambda_step`` per round and the
-    penalty coefficient by ``sigma_growth`` up to ``sigma_cap``. Stops when
-    the best score meets the certified lower bound, when it has not improved
-    for ``patience`` rounds, at the round cap, or on a non-finite objective.
+    round: minimize from the previous round's iterate, round it to a
+    permutation, and score that mapping exactly. The problem itself never
+    changes during a solve. The regularizer weight increases by
+    ``lambda_step`` per round and the penalty coefficient by ``sigma_growth``
+    up to ``sigma_cap``. Stops when the best score meets the certified lower
+    bound, when it has not improved for ``patience`` rounds, at the round cap,
+    or on a non-finite objective.
     """
     if cfg is None:
         cfg = SolverConfig()
     n = pair.order
     a = adjacency(pair.g1)
     b = adjacency(pair.g2)
-    d_orig = build_cost_matrix(pair, cm)
-    lb = lower_bound(d_orig, a, b, cm.edge_cost_squared)
+    d = build_cost_matrix(pair, cm)
+    lb = lower_bound(d, a, b, cm.edge_cost_squared)
 
     def score(mapping: Permutation) -> float:
         perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
-        return float(_score_block(d_orig, a, b, perms, cm.edge_cost_squared)[0])
+        return float(_score_block(d, a, b, perms, cm.edge_cost_squared)[0])
 
     sp = scale_pair(a, b, cm.edge_cost_squared)
-    d = d_orig
     p = np.eye(n, dtype=np.float64)
-    # composition of the relabelings applied so far: maps the current
-    # coordinate system back to the original node indices
-    base = Permutation.identity(n)
     lam = 0.0
     sigma = cfg.sigma_init
     best_ged = math.inf
-    best_mapping = base
+    best_mapping = Permutation.identity(n)
     stall = 0
     trace: list[RoundRecord] = []
     reason = LAMBDA_ROUNDS_EXHAUSTED
@@ -251,11 +248,9 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         except DivergenceError:
             reason = DIVERGENCE_DETECTED
             if not math.isfinite(best_ged):
-                best_ged = score(base)
-                best_mapping = base
+                best_ged = score(best_mapping)
             break
-        rounding = round_to_permutation(p)
-        candidate_mapping = base.then(rounding)
+        candidate_mapping = round_to_permutation(p)
         candidate = score(candidate_mapping)
         trace.append(
             RoundRecord(
@@ -286,11 +281,6 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         if rounds >= cfg.lambda_max_rounds:
             reason = LAMBDA_ROUNDS_EXHAUSTED
             break
-        if cfg.enable_inverse_relabel:
-            sp, d = relabel_transform(sp, d, rounding)
-            inv = np.array(rounding.inverse().mapping, dtype=np.int64)
-            p = p[inv, :]
-            base = candidate_mapping
         if cfg.enable_regularizer:
             lam += cfg.lambda_step
         sigma = min(sigma * cfg.sigma_growth, cfg.sigma_cap)

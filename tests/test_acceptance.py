@@ -28,7 +28,6 @@ from gedalign import (
     objective,
     pad_pair,
     quasi_perm_residual,
-    relabel_transform,
     report_to_csv,
     round_to_permutation,
     run_bench,
@@ -243,9 +242,11 @@ def test_rounding_residual_characterization():
 
 
 def test_relabel_equivalence_suite():
-    """Recentering the problem never changes the objective value."""
+    """Relabeling the first graph leaves the objective value unchanged and
+    permutes the rows of its gradient, so the solve needs no recentering."""
     rng = np.random.default_rng(505)
     worst = 0.0
+    worst_grad = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
         sp = ScaledPair(random_symmetric(rng, n), random_symmetric(rng, n))
@@ -257,13 +258,17 @@ def test_relabel_equivalence_suite():
             lam=float(rng.uniform(0.0, 1.5)),
             sigma=float(rng.uniform(0.0, 4.0)),
         )
-        sp2, d2 = relabel_transform(sp, d, h)
-        p2 = p[np.array(h.inverse().mapping), :]
-        gap = abs(
-            value_and_grad(sp, d, p, params)[0] - value_and_grad(sp2, d2, p2, params)[0]
-        )
-        worst = max(worst, gap)
-    announce("relabel-equivalence", worst <= 1e-12, f"worst objective gap {worst:.3e}")
+        inv = np.array(h.inverse().mapping)
+        sp2 = ScaledPair(sp.a_scaled[np.ix_(inv, inv)], sp.b_scaled)
+        value, grad = value_and_grad(sp, d, p, params)
+        value2, grad2 = value_and_grad(sp2, d[inv, :], p[inv, :], params)
+        worst = max(worst, abs(value - value2))
+        worst_grad = max(worst_grad, float(np.max(np.abs(grad2 - grad[inv, :]))))
+    announce(
+        "relabel-equivalence",
+        worst <= 1e-12 and worst_grad <= 1e-12,
+        f"worst objective gap {worst:.3e}, worst gradient gap {worst_grad:.3e}",
+    )
 
 
 def test_assignment_optimality():
@@ -325,17 +330,14 @@ def test_determinism():
 
 
 def test_ablation_direction(standard_cases, standard_report):
-    """Disabling the regularizer or the recentering must not improve MAE."""
+    """Disabling the regularizer must not improve MAE."""
     cm = builtin_cost_model("case3")
     no_reg = run_bench(standard_cases, cm, SolverConfig(enable_regularizer=False))
-    no_ir = run_bench(standard_cases, cm, SolverConfig(enable_inverse_relabel=False))
     mae = standard_report.mae
-    ok = mae <= no_reg.mae and mae <= no_ir.mae
     announce(
         "ablation-direction",
-        ok,
-        f"MAE default {mae:.3f} <= no-regularizer {no_reg.mae:.3f}, "
-        f"<= no-inverse-relabel {no_ir.mae:.3f}",
+        mae <= no_reg.mae,
+        f"MAE default {mae:.3f} <= no-regularizer {no_reg.mae:.3f}",
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gedalign import Permutation, quasi_perm_residual, round_to_permutation, solve_assignment
+from gedalign.assignment import _lexicographic_refine
 from conftest import brute_force_assignment
 
 
@@ -86,6 +87,17 @@ class TestSolveAssignment:
 
     def test_empty_matrix(self):
         assert solve_assignment(np.zeros((0, 0))).mapping == ()
+
+    def test_refine_follows_an_alternating_path_through_every_row(self):
+        # tight edges i -> i and i -> i+1 (mod n), starting from the shift:
+        # pinning row 0 to column 0 displaces row n-1, whose only way back to
+        # a free column runs through all other rows, one step per row
+        n = 1200
+        idx = np.arange(n)
+        tight = np.zeros((n, n), dtype=bool)
+        tight[idx, idx] = True
+        tight[idx, (idx + 1) % n] = True
+        assert np.array_equal(_lexicographic_refine(tight, (idx + 1) % n), idx)
 
 
 class TestRoundToPermutation:

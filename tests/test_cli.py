@@ -160,13 +160,12 @@ class TestFlagWiring:
     def test_ablation_flags_map_to_config(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["estimate", "a.json", "b.json", "--no-regularizer", "--no-inverse-relabel",
+            ["estimate", "a.json", "b.json", "--no-regularizer",
              "--mu", "2.0", "--alpha", "0.01", "--lambda-step", "0.25",
              "--patience", "5", "--sigma-cap", "100"]
         )
         cfg = _solver_config(args)
         assert cfg.enable_regularizer is False
-        assert cfg.enable_inverse_relabel is False
         assert cfg.mu == 2.0
         assert cfg.alpha == 0.01
         assert cfg.lambda_step == 0.25

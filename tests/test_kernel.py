@@ -1,4 +1,4 @@
-"""Relaxed objective, value-and-gradient kernel, residual, and relabeling."""
+"""Relaxed objective, value-and-gradient kernel, residual, and change of variables."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from gedalign import (
     ScaledPair,
     objective,
     quasi_perm_residual,
-    relabel_transform,
     scale_pair,
     value_and_grad,
 )
@@ -159,14 +158,11 @@ class TestQuasiPermResidual:
 
 
 class TestRelabelTransform:
-    def test_identity_is_noop(self, rng):
-        sp, d, _ = random_instance(rng, 4)
-        sp2, d2 = relabel_transform(sp, d, Permutation.identity(4))
-        assert np.array_equal(sp2.a_scaled, sp.a_scaled)
-        assert np.array_equal(sp2.b_scaled, sp.b_scaled)
-        assert np.array_equal(d2, d)
-
     def test_objective_preserved_under_variable_change(self, rng):
+        # relabeling the first graph by h maps (A, D, P) to
+        # (A[inv][:, inv], D[inv, :], P[inv, :]); the value is unchanged and
+        # the gradient only has its rows permuted, so Adam, which updates
+        # each entry on its own, takes the same steps in either coordinates
         for _ in range(25):
             n = int(rng.integers(2, 7))
             sp = ScaledPair(random_symmetric(rng, n), random_symmetric(rng, n))
@@ -174,25 +170,14 @@ class TestRelabelTransform:
             p = rng.random((n, n))
             h = Permutation(tuple(int(x) for x in rng.permutation(n)))
             params = ObjectiveParams(mu=1.0, lam=0.6, sigma=2.5)
-            sp2, d2 = relabel_transform(sp, d, h)
             inv = np.array(h.inverse().mapping)
+            sp2 = ScaledPair(sp.a_scaled[np.ix_(inv, inv)], sp.b_scaled)
+            d2 = d[inv, :]
             p2 = p[inv, :]
             assert objective(sp2, d2, p2, params) == pytest.approx(
                 objective(sp, d, p, params), abs=1e-12
             )
-            assert value_and_grad(sp2, d2, p2, params)[0] == pytest.approx(
-                value_and_grad(sp, d, p, params)[0], abs=1e-12
-            )
-
-    def test_involution_restores_exactly(self, rng):
-        sp, d, _ = random_instance(rng, 5)
-        h = Permutation(tuple(int(x) for x in rng.permutation(5)))
-        sp2, d2 = relabel_transform(sp, d, h)
-        sp3, d3 = relabel_transform(sp2, d2, h.inverse())
-        assert np.array_equal(sp3.a_scaled, sp.a_scaled)
-        assert np.array_equal(d3, d)
-
-    def test_order_mismatch(self, rng):
-        sp, d, _ = random_instance(rng, 4)
-        with pytest.raises(ValueError, match="order"):
-            relabel_transform(sp, d, Permutation.identity(3))
+            value, grad = value_and_grad(sp, d, p, params)
+            value2, grad2 = value_and_grad(sp2, d2, p2, params)
+            assert value2 == pytest.approx(value, abs=1e-12)
+            assert np.max(np.abs(grad2 - grad[inv, :])) <= 1e-12

@@ -312,28 +312,6 @@ class TestAblationModes:
         report = estimate_ged(g, g, builtin_cost_model("case3"), cfg)
         assert report.estimated_ged == report.trace[0].candidate_ged == 0.0
 
-    def test_no_inverse_relabel_keeps_postconditions(self, rng):
-        cfg = replace(CFG, enable_inverse_relabel=False)
-        for trial in range(6):
-            cm = builtin_cost_model(("case1", "case3")[trial % 2])
-            g1 = random_graph(rng, int(rng.integers(2, 7)), ("a", "b"))
-            g2 = random_graph(rng, int(rng.integers(2, 7)), ("a", "b"))
-            report = estimate_ged(g1, g2, cm, cfg)
-            pair = pad_pair(g1, g2)
-            assert report.estimated_ged == ged_under_mapping(pair, report.permutation, cm)
-            assert report.estimated_ged >= exact_ged(g1, g2, cm).ged - 1e-9
-
-    def test_composition_agrees_with_no_relabel_run(self):
-        # both variants converge to the optimal mapping here, so the composed
-        # permutation must match the directly accumulated one
-        g1 = graph("ab", [(0, 1)])
-        g2 = graph("ba", [(0, 1)])
-        cm = builtin_cost_model("case1")
-        with_relabel = estimate_ged(g1, g2, cm)
-        without = estimate_ged(g1, g2, cm, replace(CFG, enable_inverse_relabel=False))
-        assert with_relabel.estimated_ged == without.estimated_ged == 0.0
-        assert with_relabel.permutation == without.permutation
-
 
 class TestSolverConfigValidation:
     def test_rejects_bad_values(self):
@@ -353,4 +331,4 @@ class TestSolverConfigValidation:
         assert cfg.lambda_step == 0.5
         assert cfg.sigma_cap == 1e3
         assert cfg.inner_tol == 1e-7
-        assert cfg.enable_regularizer and cfg.enable_inverse_relabel
+        assert cfg.enable_regularizer
