@@ -52,10 +52,8 @@ from .kernel import (
     value_and_grad,
 )
 from .solver import (
-    AdamState,
     SolveReport,
     SolverConfig,
-    adam_step,
     estimate_ged,
     inner_minimize,
     solve_pair,
@@ -64,7 +62,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BenchReport",
     "BenchRow",
     "BudgetExceededError",
@@ -85,7 +82,6 @@ __all__ = [
     "ScaledPair",
     "SolveReport",
     "SolverConfig",
-    "adam_step",
     "adjacency",
     "build_cost_matrix",
     "builtin_cost_model",

@@ -47,13 +47,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def then(self, other: Permutation) -> Permutation:
-        """Composition ``i -> other(self(i))``; matches the matrix product
-        ``self.matrix() @ other.matrix()``."""
-        if other.order != self.order:
-            raise ValueError("cannot compose permutations of different orders")
-        return Permutation(tuple(other.mapping[j] for j in self.mapping))
-
 
 def _augmenting_path_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize a square assignment; returns (row_to_col, row duals, column duals).

@@ -412,9 +412,9 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
     cases: list[PairCase] = []
     for pos, entry in enumerate(index["cases"]):
         if not isinstance(entry, dict) or not all(
-            key in entry for key in ("id", "g1", "g2")
+            isinstance(entry.get(key), str) for key in ("id", "g1", "g2")
         ):
-            raise CorpusFormatError(f"cases[{pos}]: expected 'id', 'g1' and 'g2'")
+            raise CorpusFormatError(f"cases[{pos}]: expected string 'id', 'g1' and 'g2'")
         g_paths = (root / entry["g1"], root / entry["g2"])
         for g_path in g_paths:
             if not g_path.is_file():

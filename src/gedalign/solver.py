@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,17 @@ DIVERGENCE_DETECTED = "divergence_detected"
 CERTIFIED_OPTIMAL = "certified_optimal"
 
 
+#: Projected Adam (Kingma & Ba, 2015) moment decays and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+#: A round's inner loop stops once successive objective values differ by less.
+INNER_TOL = 1e-7
+#: The feasibility penalty of the first round, and its growth per round.
+SIGMA_INIT = 1.0
+SIGMA_GROWTH = 10.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters; the defaults are the production setting.
@@ -68,78 +80,29 @@ class SolverConfig:
     lambda_step: float = 0.5
     lambda_max_rounds: int = 20
     patience: int = 3
-    inner_tol: float = 1e-7
     inner_max_iters: int = 500
-    sigma_init: float = 1.0
-    sigma_growth: float = 10.0
     sigma_cap: float = 1e3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     enable_regularizer: bool = True
 
     def __post_init__(self) -> None:
         positive = (
             ("alpha", self.alpha),
             ("lambda_step", self.lambda_step),
-            ("inner_tol", self.inner_tol),
-            ("sigma_init", self.sigma_init),
-            ("sigma_growth", self.sigma_growth),
             ("sigma_cap", self.sigma_cap),
-            ("adam_eps", self.adam_eps),
         )
         for name, value in positive:
             if not (value > 0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.lambda_max_rounds < 1:
-            raise ValueError(f"lambda_max_rounds must be >= 1, got {self.lambda_max_rounds}")
-        if self.inner_max_iters < 1:
-            raise ValueError(f"inner_max_iters must be >= 1, got {self.inner_max_iters}")
-        for name, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not (0.0 <= beta < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators and the step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int
-
-    @staticmethod
-    def initial(shape: tuple[int, ...]) -> AdamState:
-        return AdamState(m=np.zeros(shape), v=np.zeros(shape), t=0)
-
-
-def adam_step(
-    p: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    alpha: float,
-    betas: tuple[float, float],
-    eps: float,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update followed by projection onto ``[0, 1]``.
-
-    Raises :class:`DivergenceError` on a non-finite gradient.
-    """
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient")
-    b1, b2 = betas
-    t = state.t + 1
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    p_new = p - alpha * m_hat / (np.sqrt(v_hat) + eps)
-    np.clip(p_new, 0.0, 1.0, out=p_new)
-    return p_new, AdamState(m=m, v=v, t=t)
+        counts = (
+            ("patience", self.patience),
+            ("lambda_max_rounds", self.lambda_max_rounds),
+            ("inner_max_iters", self.inner_max_iters),
+        )
+        for name, value in counts:
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def inner_minimize(
@@ -151,14 +114,18 @@ def inner_minimize(
 ) -> tuple[np.ndarray, int]:
     """Run projected Adam from ``p0`` until the penalized objective stalls.
 
-    Stops when the change between successive objective values drops below
-    ``cfg.inner_tol`` or after ``cfg.inner_max_iters`` steps. Returns the best
-    iterate seen (Adam is not monotone, so the last iterate may be worse than
-    the start) and the number of steps taken.
+    Each step is one bias-corrected Adam update followed by projection onto
+    ``[0, 1]``; the moments start at zero. Stops when the change between
+    successive objective values drops below ``INNER_TOL`` or after
+    ``cfg.inner_max_iters`` steps. Returns the best iterate seen (Adam is not
+    monotone, so the last iterate may be worse than the start) and the number
+    of steps taken. Raises :class:`DivergenceError` on a non-finite gradient
+    or objective.
     """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     p = np.asarray(p0, dtype=np.float64)
-    state = AdamState.initial(p.shape)
-    betas = (cfg.adam_beta1, cfg.adam_beta2)
+    m = np.zeros(p.shape)
+    v = np.zeros(p.shape)
     prev, g = value_and_grad(sp, d, p, params)
     if not math.isfinite(prev):
         raise DivergenceError("non-finite objective at the inner start")
@@ -166,7 +133,14 @@ def inner_minimize(
     best_value = prev
     steps = 0
     for step in range(1, cfg.inner_max_iters + 1):
-        p, state = adam_step(p, g, state, cfg.alpha, betas, cfg.adam_eps)
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("non-finite gradient")
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**step)
+        v_hat = v / (1.0 - b2**step)
+        p = p - cfg.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.clip(p, 0.0, 1.0, out=p)
         current, g = value_and_grad(sp, d, p, params)
         steps = step
         if not math.isfinite(current):
@@ -174,7 +148,7 @@ def inner_minimize(
         if current < best_value:
             best_value = current
             best_p = p
-        if abs(current - prev) < cfg.inner_tol:
+        if abs(current - prev) < INNER_TOL:
             break
         prev = current
     return best_p, steps
@@ -213,7 +187,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     round: minimize from the previous round's iterate, round it to a
     permutation, and score that mapping exactly. The problem itself never
     changes during a solve. The regularizer weight increases by
-    ``lambda_step`` per round and the penalty coefficient by ``sigma_growth``
+    ``lambda_step`` per round and the penalty coefficient by ``SIGMA_GROWTH``
     up to ``sigma_cap``. Stops when the best score meets the certified lower
     bound, when it has not improved for ``patience`` rounds, at the round cap,
     or on a non-finite objective.
@@ -233,7 +207,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     sp = scale_pair(a, b, cm.edge_cost_squared)
     p = np.eye(n, dtype=np.float64)
     lam = 0.0
-    sigma = cfg.sigma_init
+    sigma = SIGMA_INIT
     best_ged = math.inf
     best_mapping = Permutation.identity(n)
     stall = 0
@@ -283,7 +257,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
             break
         if cfg.enable_regularizer:
             lam += cfg.lambda_step
-        sigma = min(sigma * cfg.sigma_growth, cfg.sigma_cap)
+        sigma = min(sigma * SIGMA_GROWTH, cfg.sigma_cap)
     path = extract_edit_path(pair, best_mapping, cm)
     return SolveReport(
         estimated_ged=best_ged,

@@ -226,6 +226,18 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("key", ["id", "g1", "g2"])
+    def test_non_string_entry_field(self, tmp_path, key):
+        # rejected at load time: an integer id would otherwise fail only
+        # after every pair is solved, and an integer path in the path join
+        write_corpus(small_corpus(seed=21, count=2), tmp_path / "corpus")
+        index_path = tmp_path / "corpus" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["cases"][1][key] = 7
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(CorpusFormatError, match=r"cases\[1\]: expected string"):
+            load_corpus(tmp_path / "corpus")
+
     def test_bench_over_loaded_corpus_matches_in_memory(self, tmp_path):
         cases = small_corpus(seed=33, count=4)
         write_corpus(cases, tmp_path / "corpus")

@@ -244,6 +244,37 @@ class TestExactGed:
         assert res.ged == 0.0
         assert res.optimal_mapping == Permutation((7, 0, 1, 2, 3, 4, 5, 6))
 
+    @pytest.mark.parametrize("setting", ["case1", "case2", "case3"])
+    def test_agrees_with_networkx(self, setting):
+        # an independent exact search: networkx charges node edits through
+        # the cost model, every edge insertion or deletion at the squared
+        # edge cost, and nothing for an edge kept
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from((i, {"label": label}) for i, label in enumerate(g.labels))
+            h.add_edges_from(g.edges)
+            return h
+
+        cm = builtin_cost_model(setting)
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            g1 = random_graph(rng, int(rng.integers(2, 6)), ("0", "1", "2", "3"))
+            g2 = random_graph(rng, int(rng.integers(2, 6)), ("0", "1", "2", "3"))
+            pool = pad_pair(g1, g2).real_label_pool()
+            expected = nx.graph_edit_distance(
+                to_nx(g1),
+                to_nx(g2),
+                node_subst_cost=lambda u, v: cm.node_substitute_cost(u["label"], v["label"], pool),
+                node_del_cost=lambda u: cm.node_delete_cost(u["label"]),
+                node_ins_cost=lambda v: cm.node_insert_cost(v["label"]),
+                edge_subst_cost=lambda e1, e2: 0.0,
+                edge_del_cost=lambda e: cm.edge_cost_squared,
+                edge_ins_cost=lambda e: cm.edge_cost_squared,
+            )
+            assert exact_ged(g1, g2, cm).ged == expected
+
     def test_permutation_blocks_are_the_lexicographic_enumeration(self):
         for n in range(10):
             blocks = list(_permutation_blocks(n))

@@ -1,5 +1,6 @@
-"""Adam stepping, the inner loop, the full solve, and its postconditions."""
+"""Projected Adam steps, the inner loop, the full solve, and its postconditions."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,11 @@ import pytest
 import gedalign.editpath as editpath_module
 import gedalign.solver as solver_module
 from gedalign import (
-    AdamState,
     CostModel,
     DivergenceError,
     ObjectiveParams,
     Permutation,
     SolverConfig,
-    adam_step,
     adjacency,
     builtin_cost_model,
     build_cost_matrix,
@@ -31,6 +30,7 @@ from gedalign import (
 from gedalign.solver import (
     CERTIFIED_OPTIMAL,
     DIVERGENCE_DETECTED,
+    INNER_TOL,
     LAMBDA_ROUNDS_EXHAUSTED,
     PATIENCE_EXHAUSTED,
 )
@@ -44,37 +44,45 @@ STAR4 = graph("aaaa", [(0, 1), (0, 2), (0, 3)])
 CFG = SolverConfig()
 
 
-class TestAdamStep:
-    def test_zero_gradient_leaves_interior_point_unchanged(self):
-        p = np.full((3, 3), 0.4)
-        state = AdamState.initial(p.shape)
-        p2, state2 = adam_step(p, np.zeros_like(p), state, 0.01, (0.9, 0.999), 1e-8)
-        assert np.array_equal(p2, p)
-        assert state2.t == 1
+def _constant_gradient(monkeypatch, grad):
+    """Make the inner loop see ``grad`` at every iterate and a falling
+    objective, so that it takes exactly ``inner_max_iters`` Adam steps."""
+    values = itertools.count(0.0, -1.0)
+    monkeypatch.setattr(
+        solver_module, "value_and_grad", lambda sp, d, p, params: (next(values), grad)
+    )
 
-    def test_constant_positive_gradient_decreases_entry(self):
+
+def _adam_steps(p0, steps):
+    cfg = replace(CFG, alpha=0.01, inner_max_iters=steps)
+    return inner_minimize(None, None, p0, ObjectiveParams(mu=1.0), cfg)[0]
+
+
+class TestAdamStep:
+    def test_zero_gradient_leaves_interior_point_unchanged(self, monkeypatch):
+        p = np.full((3, 3), 0.4)
+        _constant_gradient(monkeypatch, np.zeros_like(p))
+        assert np.array_equal(_adam_steps(p, 1), p)
+
+    def test_constant_positive_gradient_decreases_entry(self, monkeypatch):
         p = np.full((2, 2), 0.5)
-        state = AdamState.initial(p.shape)
         grad = np.zeros((2, 2))
         grad[0, 1] = 1.0
-        values = [p[0, 1]]
-        for _ in range(5):
-            p, state = adam_step(p, grad, state, 0.01, (0.9, 0.999), 1e-8)
-            values.append(p[0, 1])
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert p[0, 0] == 0.5  # untouched entry stays put
+        _constant_gradient(monkeypatch, grad)
+        values = [_adam_steps(p, steps) for steps in range(1, 6)]
+        entries = [p[0, 1]] + [q[0, 1] for q in values]
+        assert all(b < a for a, b in zip(entries, entries[1:]))
+        assert values[-1][0, 0] == 0.5  # untouched entry stays put
 
-    def test_clips_to_unit_interval(self):
-        p = np.array([[0.001]])
-        state = AdamState.initial(p.shape)
-        for _ in range(10):
-            p, state = adam_step(p, np.array([[5.0]]), state, 0.01, (0.9, 0.999), 1e-8)
+    def test_clips_to_unit_interval(self, monkeypatch):
+        _constant_gradient(monkeypatch, np.array([[5.0]]))
+        p = _adam_steps(np.array([[0.001]]), 10)
         assert p[0, 0] == 0.0
 
-    def test_non_finite_gradient_signals_divergence(self):
-        p = np.zeros((2, 2))
-        with pytest.raises(DivergenceError):
-            adam_step(p, np.full((2, 2), np.nan), AdamState.initial(p.shape), 0.01, (0.9, 0.999), 1e-8)
+    def test_non_finite_gradient_signals_divergence(self, monkeypatch):
+        _constant_gradient(monkeypatch, np.full((2, 2), np.nan))
+        with pytest.raises(DivergenceError, match="gradient"):
+            _adam_steps(np.zeros((2, 2)), 1)
 
 
 class TestInnerMinimize:
@@ -124,7 +132,7 @@ class TestInnerMinimize:
             p, _ = inner_minimize(sp, d, p0, params, CFG)
             assert (
                 value_and_grad(sp, d, p, params)[0]
-                <= value_and_grad(sp, d, p0, params)[0] + CFG.inner_tol
+                <= value_and_grad(sp, d, p0, params)[0] + INNER_TOL
             )
 
 
@@ -319,8 +327,12 @@ class TestSolverConfigValidation:
             SolverConfig(alpha=0.0)
         with pytest.raises(ValueError, match="patience"):
             SolverConfig(patience=0)
-        with pytest.raises(ValueError, match="adam_beta1"):
-            SolverConfig(adam_beta1=1.0)
+        with pytest.raises(ValueError, match="inner_max_iters"):
+            SolverConfig(inner_max_iters=2.5)
+        with pytest.raises(ValueError, match="patience"):
+            SolverConfig(patience=3.0)
+        with pytest.raises(ValueError, match="lambda_max_rounds"):
+            SolverConfig(lambda_max_rounds="20")
         with pytest.raises(ValueError, match="lambda_max_rounds"):
             SolverConfig(lambda_max_rounds=0)
 
@@ -330,5 +342,5 @@ class TestSolverConfigValidation:
         assert cfg.alpha == 0.001
         assert cfg.lambda_step == 0.5
         assert cfg.sigma_cap == 1e3
-        assert cfg.inner_tol == 1e-7
+        assert cfg.inner_max_iters == 500
         assert cfg.enable_regularizer
