@@ -1,11 +1,17 @@
 """Exact linear assignment and rounding of relaxed alignments to permutations.
 
-The solver is the O(n^3) shortest-augmenting-path method on dense costs.
+The solver is the O(n^3) shortest-augmenting-path method on dense costs, in
+two phases (Jonker & Volgenant 1987). The first reduces the costs to feasible
+duals and matches rows greedily along zero reduced cost; the second inserts
+only the rows left free, one shortest augmenting path each. On small-integer
+costs with many ties the first phase leaves only a few rows free.
+
 Determinism contract: among all optimal assignments, the lexicographically
 smallest mapping is returned. The augmenting search alone does not guarantee
 that, so a second pass refines the solution inside the graph of tight edges
-(zero reduced cost under the optimal duals), where every optimal assignment
-lives by complementary slackness.
+(zero reduced cost under the optimal duals). By complementary slackness every
+optimal assignment lives in the tight graph of any optimal dual pair, so the
+refined result does not depend on which optimum the search found.
 """
 
 from __future__ import annotations
@@ -51,15 +57,33 @@ class Permutation:
 def _augmenting_path_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize a square assignment; returns (row_to_col, row duals, column duals).
 
-    Rows are inserted in index order and every scan over columns runs in index
-    order with strict-improvement comparisons, so the outcome is deterministic.
+    Phase one starts from feasible duals, ``v = cost.min(axis=0)`` and
+    ``u = (cost - v).min(axis=1)``, so every reduced cost ``cost - u - v`` is
+    non-negative and every row has a zero. Each row in index order then takes
+    its lowest-index free column of zero reduced cost, if any. Phase two
+    inserts each row left free, in index order, by a Dijkstra search for a
+    shortest augmenting path over reduced costs; its dual updates keep every
+    reduced cost non-negative and every matched edge at zero. The duals stay
+    feasible and the matching stays tight, so the final assignment is optimal
+    by complementary slackness. Every scan over columns runs in index order
+    with strict-improvement comparisons, so the outcome is deterministic.
     """
     n = cost.shape[0]
-    u = np.zeros(n, dtype=np.float64)
-    v = np.zeros(n + 1, dtype=np.float64)  # index n is the virtual start column
-    col_to_row = np.full(n + 1, -1, dtype=np.int64)
-    way = np.full(n, -1, dtype=np.int64)
+    v = cost.min(axis=0)
+    slack = cost - v
+    u = slack.min(axis=1)
+    col_to_row = np.full(n + 1, -1, dtype=np.int64)  # index n is the virtual start column
+    free_rows = []
     for i in range(n):
+        zero = (slack[i] == u[i]) & (col_to_row[:n] == -1)
+        j = int(np.argmax(zero))
+        if zero[j]:
+            col_to_row[j] = i
+        else:
+            free_rows.append(i)
+    del slack
+    way = np.full(n, -1, dtype=np.int64)
+    for i in free_rows:
         col_to_row[n] = i
         j0 = n
         minv = np.full(n, np.inf, dtype=np.float64)
@@ -91,7 +115,7 @@ def _augmenting_path_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
             j0 = j1
     row_to_col = np.empty(n, dtype=np.int64)
     row_to_col[col_to_row[:n]] = np.arange(n)
-    return row_to_col, u, v[:n]
+    return row_to_col, u, v
 
 
 def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:

@@ -428,13 +428,22 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
                 raise CorpusFormatError(f"cases[{pos}]: {key!r} must be a number or null")
             return float(value)
 
+        applied_edits = entry.get("applied_edits")
+        if applied_edits is not None and (
+            isinstance(applied_edits, bool)
+            or not isinstance(applied_edits, int)
+            or applied_edits < 0
+        ):
+            raise CorpusFormatError(
+                f"cases[{pos}]: 'applied_edits' must be a non-negative integer or null"
+            )
         cases.append(
             PairCase(
                 case_id=entry["id"],
                 g1=load_graph(g_paths[0].read_text(encoding="utf-8")),
                 g2=load_graph(g_paths[1].read_text(encoding="utf-8")),
                 true_ged=_number("true_ged"),
-                applied_edits=entry.get("applied_edits"),
+                applied_edits=applied_edits,
                 applied_cost=_number("applied_cost"),
             )
         )

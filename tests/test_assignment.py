@@ -1,13 +1,42 @@
 """Linear assignment optimality, determinism, and permutation algebra."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from gedalign import Permutation, quasi_perm_residual, round_to_permutation, solve_assignment
-from gedalign.assignment import _lexicographic_refine
+from gedalign.assignment import _augmenting_path_lap, _lexicographic_refine
 from conftest import brute_force_assignment
+
+
+def _outer_product(n: int) -> np.ndarray:
+    i = np.arange(n, dtype=np.float64)
+    return np.outer(i, i)
+
+
+def _neg_outer_product_mod3(n: int) -> np.ndarray:
+    i = np.arange(n)
+    return (-np.outer(i, i) % 3).astype(np.float64)
+
+
+def _all_equal(n: int) -> np.ndarray:
+    return np.full((n, n), 7.0)
+
+
+def _one_dominant_column(n: int) -> np.ndarray:
+    # column 0 is the cheapest entry of every row; the others cost 1 + row
+    cost = np.repeat(np.arange(1.0, n + 1.0)[:, None], n, axis=1)
+    cost[:, 0] = 0.0
+    return cost
+
+
+# After the column and row reduction, these leave many rows without a free
+# zero column (i*j and the dominant column leave n-1 of n, (-i*j) mod 3 about
+# a third), so those rows go through the augmenting search; the all-equal
+# matrix is the opposite extreme, matched entirely by the greedy start.
+GREEDY_ADVERSARIAL = [_outer_product, _neg_outer_product_mod3, _all_equal, _one_dominant_column]
 
 
 class TestPermutation:
@@ -64,6 +93,55 @@ class TestSolveAssignment:
                     if sum(cost[i, p[i]] for i in range(n)) == best
                 ]
                 assert perm.mapping == min(optima)
+
+    @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
+    def test_greedy_adversarial_lexicographic_minimum(self, family):
+        for n in range(1, 8):
+            cost = family(n)
+            for sense in ("min", "max"):
+                _, lex_first = brute_force_assignment(cost, sense)
+                assert solve_assignment(cost, sense).mapping == lex_first
+
+    @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
+    def test_greedy_adversarial_optimum_at_n60(self, family):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        cost = family(60)
+        for sense in ("min", "max"):
+            rows, cols = linear_sum_assignment(cost, maximize=sense == "max")
+            mapping = solve_assignment(cost, sense).mapping
+            assert cost[np.arange(60), mapping].sum() == cost[rows, cols].sum()
+
+    def test_duals_feasible_and_matching_tight(self, rng):
+        for trial in range(40):
+            n = int(rng.integers(1, 51))
+            integer = trial % 2 == 0
+            if integer:
+                cost = rng.integers(-5, 6, size=(n, n)).astype(np.float64)
+            else:
+                cost = rng.normal(size=(n, n))
+            row_to_col, u, v = _augmenting_path_lap(cost)
+            assert sorted(row_to_col.tolist()) == list(range(n))
+            slack = cost - u[:, None] - v[None, :]
+            matched = slack[np.arange(n), row_to_col]
+            if integer:
+                assert slack.min() >= 0.0
+                assert np.all(matched == 0.0)
+            else:
+                assert slack.min() >= -1e-12
+                assert np.abs(matched).max() <= 1e-12
+
+    def test_pinned_mapping_at_n350(self):
+        # hashes recorded from the augmenting-path solver that inserted every
+        # row by a shortest path search, before the greedy start was added
+        cost = np.random.default_rng(350).integers(0, 3, size=(350, 350)).astype(np.float64)
+        digest = {
+            sense: hashlib.sha256(repr(solve_assignment(cost, sense).mapping).encode()).hexdigest()
+            for sense in ("min", "max")
+        }
+        assert digest == {
+            "min": "28fbbf74abf663f3b107966ecc99c98968345d16cdfe41966f650ab5466f6380",
+            "max": "9847cf3b4a9208af118cd7f1bd04b5c591380099cc24be60e9518cc6b2391622",
+        }
 
     def test_deterministic(self, rng):
         cost = rng.random((6, 6))

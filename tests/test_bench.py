@@ -238,6 +238,16 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match=r"cases\[1\]: expected string"):
             load_corpus(tmp_path / "corpus")
 
+    @pytest.mark.parametrize("value", [[1, 2], "many", -1, True, 2.5])
+    def test_bad_applied_edits(self, tmp_path, value):
+        write_corpus(small_corpus(seed=21, count=2), tmp_path / "corpus")
+        index_path = tmp_path / "corpus" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["cases"][1]["applied_edits"] = value
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(CorpusFormatError, match=r"cases\[1\]: 'applied_edits'"):
+            load_corpus(tmp_path / "corpus")
+
     def test_bench_over_loaded_corpus_matches_in_memory(self, tmp_path):
         cases = small_corpus(seed=33, count=4)
         write_corpus(cases, tmp_path / "corpus")
