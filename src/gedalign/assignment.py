@@ -168,8 +168,6 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
             if not tight[i, j] or pinned_col[j]:
                 continue
             displaced = int(row_of[j])
-            saved_col_of = col_of.copy()
-            saved_row_of = row_of.copy()
             col_of[i] = j
             row_of[j] = i
             row_of[current] = -1
@@ -177,8 +175,11 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
             visited[j] = True
             if reroute(displaced, visited):
                 break
-            col_of = saved_col_of
-            row_of = saved_row_of
+            # a failed reroute writes nothing, so undoing the three writes
+            # above restores the matching
+            col_of[i] = current
+            row_of[j] = displaced
+            row_of[current] = i
         pinned_col[int(col_of[i])] = True
     return col_of
 

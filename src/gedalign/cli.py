@@ -116,7 +116,7 @@ def _report_json(pair: GraphPair, report: SolveReport) -> dict:
                 "sigma": rec.sigma,
                 "inner_iterations": rec.inner_iterations,
                 "candidate_ged": rec.candidate_ged,
-                "objective_value": rec.objective_value,
+                "objective_value": rec.objective_value,  # the penalized value minimized
             }
             for rec in report.trace
         ],

@@ -46,7 +46,8 @@ class CostModel:
     nearest_label_substitution: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.edge_cost_squared > 0) or not math.isfinite(self.edge_cost_squared):
+        _check_cost("edge_cost_squared", self.edge_cost_squared)
+        if self.edge_cost_squared == 0:
             raise CostModelError("edge_cost_squared must be a positive finite number")
         for name, value in (
             ("insert_default", self.insert_default),
@@ -209,8 +210,11 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
     sub_raw = doc.get("node_substitute", {"default": 0.0})
     if not isinstance(sub_raw, dict) or "default" not in sub_raw:
         raise CostModelError("'node_substitute' must be an object with a 'default' cost")
+    raw_pairs = sub_raw.get("pairs", [])
+    if not isinstance(raw_pairs, list):
+        raise CostModelError("'node_substitute.pairs' must be a list")
     sub_pairs: dict[tuple[str, str], float] = {}
-    for pos, entry in enumerate(sub_raw.get("pairs", [])):
+    for pos, entry in enumerate(raw_pairs):
         if (
             not isinstance(entry, list)
             or len(entry) != 3

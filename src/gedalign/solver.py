@@ -6,7 +6,9 @@ assignment on the overlap) and scoring that mapping with the exact edit
 accounting. The regularizer weight grows by a fixed step per round, the
 feasibility penalty by a growth factor up to a cap. The best scored mapping
 over all rounds is reported; by construction it can only overestimate the
-true distance.
+true distance. The trace records, per round, the smallest penalized
+objective value the inner loop saw, at the iterate it rounded. The kernel
+takes plain arrays, all built once per solve from one validated padded pair.
 
 The problem keeps its original node coordinates for the whole solve:
 recentering it around each rounding would only permute the rows of the
@@ -38,13 +40,7 @@ from .costs import CostModel, build_cost_matrix
 from .editpath import EditPath, _score_block, extract_edit_path, lower_bound
 from .errors import DivergenceError
 from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
-from .kernel import (
-    ObjectiveParams,
-    ScaledPair,
-    objective,
-    scale_pair,
-    value_and_grad,
-)
+from .kernel import value_and_grad
 
 logger = logging.getLogger(__name__)
 
@@ -106,27 +102,31 @@ class SolverConfig:
 
 
 def inner_minimize(
-    sp: ScaledPair,
+    a: np.ndarray,
+    b: np.ndarray,
     d: np.ndarray,
     p0: np.ndarray,
-    params: ObjectiveParams,
+    lam: float,
+    sigma: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, float]:
     """Run projected Adam from ``p0`` until the penalized objective stalls.
 
-    Each step is one bias-corrected Adam update followed by projection onto
-    ``[0, 1]``; the moments start at zero. Stops when the change between
-    successive objective values drops below ``INNER_TOL`` or after
-    ``cfg.inner_max_iters`` steps. Returns the best iterate seen (Adam is not
-    monotone, so the last iterate may be worse than the start) and the number
-    of steps taken. Raises :class:`DivergenceError` on a non-finite gradient
-    or objective.
+    ``a`` and ``b`` are the kappa-scaled adjacency matrices; the node-cost
+    weight is ``cfg.mu``. Each step is one bias-corrected Adam update followed
+    by projection onto ``[0, 1]``; the moments start at zero. Stops when the
+    change between successive objective values drops below ``INNER_TOL`` or
+    after ``cfg.inner_max_iters`` steps. Returns the best iterate seen (Adam
+    is not monotone, so the last iterate may be worse than the start), the
+    number of steps taken and the penalized objective at that iterate. Raises
+    :class:`DivergenceError` on a non-finite gradient or objective.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    mu = cfg.mu
     p = np.asarray(p0, dtype=np.float64)
     m = np.zeros(p.shape)
     v = np.zeros(p.shape)
-    prev, g = value_and_grad(sp, d, p, params)
+    prev, g = value_and_grad(a, b, d, p, mu, lam, sigma)
     if not math.isfinite(prev):
         raise DivergenceError("non-finite objective at the inner start")
     best_p = p
@@ -141,7 +141,7 @@ def inner_minimize(
         v_hat = v / (1.0 - b2**step)
         p = p - cfg.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         np.clip(p, 0.0, 1.0, out=p)
-        current, g = value_and_grad(sp, d, p, params)
+        current, g = value_and_grad(a, b, d, p, mu, lam, sigma)
         steps = step
         if not math.isfinite(current):
             raise DivergenceError(f"non-finite objective at inner step {step}")
@@ -151,12 +151,13 @@ def inner_minimize(
         if abs(current - prev) < INNER_TOL:
             break
         prev = current
-    return best_p, steps
+    return best_p, steps, best_value
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Per-round trace entry."""
+    """Per-round trace entry. ``objective_value`` is the penalized objective
+    the round minimized, at the iterate it rounded."""
 
     round_index: int
     lam: float
@@ -204,7 +205,9 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
         return float(_score_block(d, a, b, perms, cm.edge_cost_squared)[0])
 
-    sp = scale_pair(a, b, cm.edge_cost_squared)
+    kappa = math.sqrt(cm.edge_cost_squared)
+    a_scaled = kappa * a
+    b_scaled = kappa * b
     p = np.eye(n, dtype=np.float64)
     lam = 0.0
     sigma = SIGMA_INIT
@@ -216,9 +219,8 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     rounds = 0
     while True:
         rounds += 1
-        params = ObjectiveParams(mu=cfg.mu, lam=lam, sigma=sigma)
         try:
-            p, inner_iters = inner_minimize(sp, d, p, params, cfg)
+            p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam, sigma, cfg)
         except DivergenceError:
             reason = DIVERGENCE_DETECTED
             if not math.isfinite(best_ged):
@@ -233,7 +235,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
                 sigma=sigma,
                 inner_iterations=inner_iters,
                 candidate_ged=candidate,
-                objective_value=objective(sp, d, p, params),
+                objective_value=value,
             )
         )
         logger.debug(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gedalign import LabeledGraph, make_graph
+from gedalign.kernel import value_and_grad
 
 
 def graph(labels, edges=()) -> LabeledGraph:
@@ -20,6 +21,12 @@ def random_graph(rng: np.random.Generator, n: int, labels, edge_prob: float = 0.
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob
     ]
     return make_graph(node_labels, edges)
+
+
+def regularizer(p: np.ndarray) -> float:
+    """``tr(P^T (J - P))``, read off the kernel with every other term zeroed."""
+    z = np.zeros_like(p)
+    return value_and_grad(z, z, z, p, 0.0, 1.0, 0.0)[0]
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -6,9 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gedalign import Permutation, quasi_perm_residual, round_to_permutation, solve_assignment
+from gedalign import Permutation, round_to_permutation, solve_assignment
 from gedalign.assignment import _augmenting_path_lap, _lexicographic_refine
-from conftest import brute_force_assignment
+from conftest import brute_force_assignment, regularizer
 
 
 def _outer_product(n: int) -> np.ndarray:
@@ -199,4 +199,4 @@ class TestRoundToPermutation:
             h = round_to_permutation(rng.random((n, n))).matrix()
             assert np.array_equal(h.sum(axis=0), np.ones(n))
             assert np.array_equal(h.sum(axis=1), np.ones(n))
-            assert quasi_perm_residual(h) == 0.0
+            assert regularizer(h) == 0.0

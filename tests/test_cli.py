@@ -90,6 +90,21 @@ class TestEstimate:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["estimated_ged"] == 1.0
 
+    def test_malformed_cost_file(self, tmp_path, graph_files, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_text(
+            json.dumps(
+                {
+                    "edge_cost_squared": "1",
+                    "node_insert": {"default": 2.0},
+                    "node_delete": {"default": 2.0},
+                }
+            )
+        )
+        code = main(["estimate", graph_files["triangle"], graph_files["triangle"], "--cost", f"file:{costs}"])
+        assert code == EXIT_INPUT
+        assert "edge_cost_squared" in capsys.readouterr().err
+
     def test_out_file(self, graph_files, tmp_path):
         out = tmp_path / "report.json"
         code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--out", str(out)])

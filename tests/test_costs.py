@@ -148,6 +148,27 @@ class TestLoadCostModel:
         with pytest.raises(CostModelError, match="parse error"):
             load_cost_model(b"{broken")
 
+    @pytest.mark.parametrize("edge_cost", ["1", None, True, [1.0]])
+    def test_edge_cost_must_be_a_number(self, edge_cost):
+        doc = {
+            "edge_cost_squared": edge_cost,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+        }
+        with pytest.raises(CostModelError, match="edge_cost_squared"):
+            load_cost_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("pairs", [5, None, 1.5, True])
+    def test_substitution_pairs_must_be_a_list(self, pairs):
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+            "node_substitute": {"default": 0, "pairs": pairs},
+        }
+        with pytest.raises(CostModelError, match="pairs"):
+            load_cost_model(json.dumps(doc))
+
 
 class TestBuildCostMatrix:
     def test_dummy_row_gets_insert_costs(self):

@@ -1,24 +1,18 @@
-"""Relaxed objective, value-and-gradient kernel, residual, and change of variables."""
+"""Relaxed objective, value-and-gradient kernel, regularizer, and change of variables."""
 
 import numpy as np
 import pytest
 
-from gedalign import (
-    ObjectiveParams,
-    Permutation,
-    ScaledPair,
-    objective,
-    quasi_perm_residual,
-    scale_pair,
-    value_and_grad,
-)
-from conftest import random_symmetric
+from gedalign import Permutation
+from gedalign.kernel import value_and_grad
+from conftest import random_symmetric, regularizer
 
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+Z2 = np.zeros((2, 2))
 
 
 def random_instance(rng, n, kappa_sq=None):
-    """Random scaled pair, cost matrix and relaxed alignment of order n."""
+    """Random scaled adjacency pair, cost matrix and relaxed alignment of order n."""
     a = (rng.random((n, n)) < 0.4).astype(float)
     a = np.triu(a, 1)
     a = a + a.T
@@ -27,13 +21,13 @@ def random_instance(rng, n, kappa_sq=None):
     b = b + b.T
     if kappa_sq is None:
         kappa_sq = float(rng.uniform(0.5, 4.0))
-    sp = scale_pair(a, b, kappa_sq)
+    kappa = np.sqrt(kappa_sq)
     d = rng.random((n, n)) * 3.0
     p = rng.random((n, n))
-    return sp, d, p
+    return kappa * a, kappa * b, d, p
 
 
-def finite_difference(sp, d, p, params, h=1e-5):
+def finite_difference(a, b, d, p, weights, h=1e-5):
     fd = np.zeros_like(p)
     for i in range(p.shape[0]):
         for j in range(p.shape[1]):
@@ -42,76 +36,56 @@ def finite_difference(sp, d, p, params, h=1e-5):
             minus = p.copy()
             minus[i, j] -= h
             fd[i, j] = (
-                value_and_grad(sp, d, plus, params)[0]
-                - value_and_grad(sp, d, minus, params)[0]
+                value_and_grad(a, b, d, plus, *weights)[0]
+                - value_and_grad(a, b, d, minus, *weights)[0]
             ) / (2.0 * h)
     return fd
 
 
 class TestObjective:
     def test_zero_at_identity_on_equal_matrices(self):
-        sp = ScaledPair(K2, K2)
-        params = ObjectiveParams(mu=2.0, lam=5.0)
-        assert objective(sp, np.zeros((2, 2)), np.eye(2), params) == 0.0
+        assert value_and_grad(K2, K2, Z2, np.eye(2), 2.0, 5.0, 0.0)[0] == 0.0
 
     def test_frobenius_term_only(self):
-        sp = scale_pair(K2, np.zeros((2, 2)), 1.0)
-        value = objective(sp, np.zeros((2, 2)), np.eye(2), ObjectiveParams(mu=0.0))
+        value = value_and_grad(K2, Z2, Z2, np.eye(2), 0.0, 0.0, 0.0)[0]
         assert value == 1.0  # half of the two unit entries' squares, times P = I
 
     def test_regularizer_term_closed_form(self):
-        sp = ScaledPair(np.zeros((2, 2)), np.zeros((2, 2)))
-        p = np.full((2, 2), 0.5)
-        value = objective(sp, np.zeros((2, 2)), p, ObjectiveParams(mu=0.0, lam=1.0))
+        value = value_and_grad(Z2, Z2, Z2, np.full((2, 2), 0.5), 0.0, 1.0, 0.0)[0]
         assert value == pytest.approx(1.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        sp = ScaledPair(K2, K2)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            objective(sp, np.zeros((3, 3)), np.eye(2), ObjectiveParams())
 
 
 class TestPenalizedObjective:
     def test_equals_objective_on_doubly_stochastic(self, rng):
-        sp = ScaledPair(K2, np.zeros((2, 2)))
         d = rng.random((2, 2))
         p = np.full((2, 2), 0.5)
-        params = ObjectiveParams(mu=1.0, lam=0.3, sigma=50.0)
-        assert value_and_grad(sp, d, p, params)[0] == objective(sp, d, p, params)
+        penalized = value_and_grad(K2, Z2, d, p, 1.0, 0.3, 50.0)[0]
+        assert penalized == value_and_grad(K2, Z2, d, p, 1.0, 0.3, 0.0)[0]
 
     def test_zero_matrix_violation(self):
-        sp = ScaledPair(np.zeros((2, 2)), np.zeros((2, 2)))
-        params = ObjectiveParams(mu=0.0, lam=0.0, sigma=1.0)
-        value, _ = value_and_grad(sp, np.zeros((2, 2)), np.zeros((2, 2)), params)
+        value, _ = value_and_grad(Z2, Z2, Z2, Z2, 0.0, 0.0, 1.0)
         assert value == 4.0  # each of the 2 rows and 2 columns misses its sum by 1
-
-    def test_sigma_zero_is_plain_objective(self, rng):
-        sp, d, p = random_instance(rng, 4)
-        params = ObjectiveParams(mu=1.0, lam=0.7, sigma=0.0)
-        assert value_and_grad(sp, d, p, params)[0] == objective(sp, d, p, params)
 
     def test_adds_sigma_times_violation(self, rng):
         for _ in range(10):
-            sp, d, p = random_instance(rng, int(rng.integers(2, 7)))
-            params = ObjectiveParams(mu=1.3, lam=0.7, sigma=float(rng.uniform(0.5, 5.0)))
+            a, b, d, p = random_instance(rng, int(rng.integers(2, 7)))
+            sigma = float(rng.uniform(0.5, 5.0))
             row = p.sum(axis=1) - 1.0
             col = p.sum(axis=0) - 1.0
             violation = float(np.sum(row * row) + np.sum(col * col))
-            expected = objective(sp, d, p, params) + params.sigma * violation
-            assert value_and_grad(sp, d, p, params)[0] == expected
+            expected = value_and_grad(a, b, d, p, 1.3, 0.7, 0.0)[0] + sigma * violation
+            assert value_and_grad(a, b, d, p, 1.3, 0.7, sigma)[0] == expected
 
 
 class TestGradient:
     def test_stationary_at_identity_on_equal_matrices(self):
-        sp = ScaledPair(K2, K2)
-        _, g = value_and_grad(sp, np.zeros((2, 2)), np.eye(2), ObjectiveParams(mu=1.0))
+        _, g = value_and_grad(K2, K2, Z2, np.eye(2), 1.0, 0.0, 0.0)
         assert not g.any()
 
     def test_pure_linear_term_is_cost_matrix(self, rng):
         d = rng.random((3, 3))
-        sp = ScaledPair(np.zeros((3, 3)), np.zeros((3, 3)))
-        params = ObjectiveParams(mu=1.0, lam=0.0, sigma=0.0)
-        _, g = value_and_grad(sp, d, np.zeros((3, 3)), params)
+        z = np.zeros((3, 3))
+        _, g = value_and_grad(z, z, d, z, 1.0, 0.0, 0.0)
         # sigma = 0 silences the penalty; what remains is mu * D
         assert np.array_equal(g, d)
 
@@ -119,33 +93,35 @@ class TestGradient:
         worst = 0.0
         for _ in range(15):
             n = int(rng.integers(2, 7))
-            sp, d, p = random_instance(rng, n)
-            params = ObjectiveParams(
-                mu=float(rng.uniform(0.2, 2.0)),
-                lam=float(rng.uniform(0.1, 2.0)),
-                sigma=float(rng.uniform(0.5, 5.0)),
+            a, b, d, p = random_instance(rng, n)
+            weights = (
+                float(rng.uniform(0.2, 2.0)),
+                float(rng.uniform(0.1, 2.0)),
+                float(rng.uniform(0.5, 5.0)),
             )
-            _, g = value_and_grad(sp, d, p, params)
-            fd = finite_difference(sp, d, p, params)
+            _, g = value_and_grad(a, b, d, p, *weights)
+            fd = finite_difference(a, b, d, p, weights)
             rel = np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
             worst = max(worst, float(rel.max()))
         assert worst <= 1e-5
 
 
 class TestQuasiPermResidual:
+    """The regularizer term ``tr(P^T (J - P))`` of the kernel."""
+
     def test_zero_on_permutations(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 8))
             p = Permutation(tuple(int(x) for x in rng.permutation(n))).matrix()
-            assert quasi_perm_residual(p) == 0.0
+            assert regularizer(p) == 0.0
 
     def test_uniform_matrices(self):
-        assert quasi_perm_residual(np.full((2, 2), 0.5)) == pytest.approx(1.0, abs=1e-15)
-        assert quasi_perm_residual(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(2.0, abs=1e-12)
+        assert regularizer(np.full((2, 2), 0.5)) == pytest.approx(1.0, abs=1e-15)
+        assert regularizer(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_positive_on_non_permutation_doubly_stochastic(self, rng):
         # strict convex combinations of two distinct permutations stay doubly
-        # stochastic but are not permutations, so the residual is positive
+        # stochastic but are not permutations, so the regularizer is positive
         for _ in range(10):
             n = int(rng.integers(2, 7))
             p1 = Permutation(tuple(int(x) for x in rng.permutation(n))).matrix()
@@ -154,7 +130,7 @@ class TestQuasiPermResidual:
                 continue
             w = float(rng.uniform(0.1, 0.9))
             mix = w * p1 + (1.0 - w) * p2
-            assert quasi_perm_residual(mix) > 0.0
+            assert regularizer(mix) > 0.0
 
 
 class TestRelabelTransform:
@@ -165,19 +141,18 @@ class TestRelabelTransform:
         # each entry on its own, takes the same steps in either coordinates
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            sp = ScaledPair(random_symmetric(rng, n), random_symmetric(rng, n))
+            a, b = random_symmetric(rng, n), random_symmetric(rng, n)
             d = rng.random((n, n))
             p = rng.random((n, n))
             h = Permutation(tuple(int(x) for x in rng.permutation(n)))
-            params = ObjectiveParams(mu=1.0, lam=0.6, sigma=2.5)
             inv = np.array(h.inverse().mapping)
-            sp2 = ScaledPair(sp.a_scaled[np.ix_(inv, inv)], sp.b_scaled)
+            a2 = a[np.ix_(inv, inv)]
             d2 = d[inv, :]
             p2 = p[inv, :]
-            assert objective(sp2, d2, p2, params) == pytest.approx(
-                objective(sp, d, p, params), abs=1e-12
+            assert value_and_grad(a2, b, d2, p2, 1.0, 0.6, 0.0)[0] == pytest.approx(
+                value_and_grad(a, b, d, p, 1.0, 0.6, 0.0)[0], abs=1e-12
             )
-            value, grad = value_and_grad(sp, d, p, params)
-            value2, grad2 = value_and_grad(sp2, d2, p2, params)
+            value, grad = value_and_grad(a, b, d, p, 1.0, 0.6, 2.5)
+            value2, grad2 = value_and_grad(a2, b, d2, p2, 1.0, 0.6, 2.5)
             assert value2 == pytest.approx(value, abs=1e-12)
             assert np.max(np.abs(grad2 - grad[inv, :])) <= 1e-12

@@ -1,0 +1,46 @@
+"""Property tests of the estimator's invariants on random small graph pairs.
+
+The examples are derandomized, so every run checks the same pairs.
+"""
+
+import itertools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gedalign import (  # noqa: E402
+    builtin_cost_model,
+    estimate_ged,
+    exact_ged,
+    ged_under_mapping,
+    make_graph,
+    pad_pair,
+)
+
+#: integer labels, so that case2's nearest-label substitution applies
+LABELS = ("0", "1", "2", "3")
+
+
+@st.composite
+def graphs(draw, max_order=6):
+    n = draw(st.integers(0, max_order))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    slots = list(itertools.combinations(range(n), 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return make_graph(labels, [slot for slot, keep in zip(slots, kept) if keep])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g1=graphs(), g2=graphs(), setting=st.sampled_from(("case1", "case2", "case3")))
+def test_bound_truth_estimate_and_replay(g1, g2, setting):
+    # lower bound <= truth <= estimate, and the estimate is exactly the cost
+    # of its own edit path and of replaying its mapping
+    cm = builtin_cost_model(setting)
+    report = estimate_ged(g1, g2, cm)
+    truth = exact_ged(g1, g2, cm).ged
+    replay = ged_under_mapping(pad_pair(g1, g2), report.permutation, cm)
+    assert report.lower_bound is not None
+    assert report.lower_bound <= truth <= report.estimated_ged
+    assert report.estimated_ged == report.edit_path.total_cost == replay

@@ -11,7 +11,6 @@ import gedalign.solver as solver_module
 from gedalign import (
     CostModel,
     DivergenceError,
-    ObjectiveParams,
     Permutation,
     SolverConfig,
     adjacency,
@@ -21,18 +20,17 @@ from gedalign import (
     exact_ged,
     ged_under_mapping,
     generate_pairs,
-    inner_minimize,
     solve_pair,
     pad_pair,
-    scale_pair,
-    value_and_grad,
 )
+from gedalign.kernel import value_and_grad
 from gedalign.solver import (
     CERTIFIED_OPTIMAL,
     DIVERGENCE_DETECTED,
     INNER_TOL,
     LAMBDA_ROUNDS_EXHAUSTED,
     PATIENCE_EXHAUSTED,
+    inner_minimize,
 )
 from conftest import graph, random_graph
 
@@ -49,13 +47,13 @@ def _constant_gradient(monkeypatch, grad):
     objective, so that it takes exactly ``inner_max_iters`` Adam steps."""
     values = itertools.count(0.0, -1.0)
     monkeypatch.setattr(
-        solver_module, "value_and_grad", lambda sp, d, p, params: (next(values), grad)
+        solver_module, "value_and_grad", lambda *args: (next(values), grad)
     )
 
 
 def _adam_steps(p0, steps):
     cfg = replace(CFG, alpha=0.01, inner_max_iters=steps)
-    return inner_minimize(None, None, p0, ObjectiveParams(mu=1.0), cfg)[0]
+    return inner_minimize(None, None, None, p0, 0.0, 0.0, cfg)[0]
 
 
 class TestAdamStep:
@@ -89,20 +87,18 @@ class TestInnerMinimize:
     def test_returns_after_one_iteration_at_stationary_point(self):
         # equal matrices, zero costs: the identity is a global optimum
         a = adjacency(TRIANGLE)
-        sp = scale_pair(a, a, 1.0)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
-        p, iters = inner_minimize(sp, d, p0, ObjectiveParams(mu=1.0, sigma=1.0), CFG)
+        p, iters, _ = inner_minimize(a, a, d, p0, 0.0, 1.0, CFG)
         assert iters == 1
         assert np.array_equal(p, p0)
 
     def test_identical_graphs_keep_identity(self):
         pair = pad_pair(TRIANGLE, TRIANGLE)
-        sp = scale_pair(adjacency(pair.g1), adjacency(pair.g2), 1.0)
+        a, b = adjacency(pair.g1), adjacency(pair.g2)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        params = ObjectiveParams(mu=1.0, sigma=1.0)
-        p, _ = inner_minimize(sp, d, np.eye(3), params, CFG)
-        assert value_and_grad(sp, d, p, params)[0] == 0.0
+        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0, 1.0, CFG)
+        assert value_and_grad(a, b, d, p, 1.0, 0.0, 1.0)[0] == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
         # one edge against two isolated nodes: spreading mass lowers the
@@ -110,13 +106,12 @@ class TestInnerMinimize:
         g1 = graph("aa", [(0, 1)])
         g2 = graph("aa")
         pair = pad_pair(g1, g2)
-        sp = scale_pair(adjacency(pair.g1), adjacency(pair.g2), 1.0)
+        a, b = adjacency(pair.g1), adjacency(pair.g2)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        params = ObjectiveParams(mu=1.0, lam=0.0, sigma=100.0)
         start = np.eye(2)
-        value_at_start = value_and_grad(sp, d, start, params)[0]
-        p, _ = inner_minimize(sp, d, start, params, CFG)
-        assert value_and_grad(sp, d, p, params)[0] < value_at_start
+        value_at_start = value_and_grad(a, b, d, start, 1.0, 0.0, 100.0)[0]
+        p, _, _ = inner_minimize(a, b, d, start, 0.0, 100.0, CFG)
+        assert value_and_grad(a, b, d, p, 1.0, 0.0, 100.0)[0] < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
         for _ in range(10):
@@ -125,15 +120,27 @@ class TestInnerMinimize:
             g2 = random_graph(rng, n, ("a", "b"))
             pair = pad_pair(g1, g2)
             cm = builtin_cost_model("case1")
-            sp = scale_pair(adjacency(pair.g1), adjacency(pair.g2), cm.edge_cost_squared)
+            kappa = np.sqrt(cm.edge_cost_squared)
+            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
             d = build_cost_matrix(pair, cm)
-            params = ObjectiveParams(mu=1.0, lam=1.0, sigma=10.0)
             p0 = rng.random((pair.order, pair.order))
-            p, _ = inner_minimize(sp, d, p0, params, CFG)
+            p, _, _ = inner_minimize(a, b, d, p0, 1.0, 10.0, CFG)
             assert (
-                value_and_grad(sp, d, p, params)[0]
-                <= value_and_grad(sp, d, p0, params)[0] + INNER_TOL
+                value_and_grad(a, b, d, p, 1.0, 1.0, 10.0)[0]
+                <= value_and_grad(a, b, d, p0, 1.0, 1.0, 10.0)[0] + INNER_TOL
             )
+
+    def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            pair = pad_pair(random_graph(rng, n, ("a", "b")), random_graph(rng, n, ("a", "b")))
+            cm = builtin_cost_model("case1")
+            kappa = np.sqrt(cm.edge_cost_squared)
+            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
+            d = build_cost_matrix(pair, cm)
+            lam, sigma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 100.0))
+            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam, sigma, CFG)
+            assert value == value_and_grad(a, b, d, p, CFG.mu, lam, sigma)[0]
 
 
 class TestSolvePair:
@@ -225,9 +232,9 @@ class TestSolvePair:
         real_value_and_grad = solver_module.value_and_grad
         calls = {"n": 0}
 
-        def exploding(sp, d, p, params):
+        def exploding(*args):
             calls["n"] += 1
-            value, g = real_value_and_grad(sp, d, p, params)
+            value, g = real_value_and_grad(*args)
             if calls["n"] > 3:
                 g = g + np.nan
             return value, g
@@ -240,6 +247,37 @@ class TestSolvePair:
         assert report.estimated_ged == ged_under_mapping(
             pair, report.permutation, builtin_cost_model("case3")
         )
+
+    def test_round_objective_is_the_minimized_value(self, monkeypatch, rng):
+        # every kernel call of a solve goes through the inner loop: one at
+        # each round's start and one per step, and a round reports the
+        # smallest penalized value it saw
+        real_value_and_grad = solver_module.value_and_grad
+        values = []
+
+        def recording(*args):
+            value, g = real_value_and_grad(*args)
+            values.append(value)
+            return value, g
+
+        monkeypatch.setattr(solver_module, "value_and_grad", recording)
+        pairs = [(PATH4, STAR4, builtin_cost_model("case3"))] + [
+            (
+                random_graph(rng, int(rng.integers(3, 7)), ("0", "1")),
+                random_graph(rng, int(rng.integers(3, 7)), ("0", "1")),
+                builtin_cost_model(setting),
+            )
+            for setting in ("case1", "case2", "case3")
+        ]
+        for g1, g2, cm in pairs:
+            values.clear()
+            report = estimate_ged(g1, g2, cm)
+            counts = [1 + rec.inner_iterations for rec in report.trace]
+            assert len(values) == sum(counts)
+            start = 0
+            for rec, count in zip(report.trace, counts):
+                assert rec.objective_value == min(values[start : start + count])
+                start += count
 
 
 class TestCertifiedStop:
