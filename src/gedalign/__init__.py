@@ -1,6 +1,6 @@
 """Graph edit distance estimation via a doubly-stochastic alignment relaxation.
 
-Public surface, as imported below: labeled graph I/O and padding, edit-cost
+Public surface, as imported below: labeled graph I/O and pairing, edit-cost
 models, exact linear assignment, the solver, the exact brute-force oracle, and
 the benchmark harness. The objective kernel and the inner loop live in
 ``gedalign.kernel`` and ``gedalign.solver``.
@@ -35,7 +35,6 @@ from .errors import (
     GraphFormatError,
 )
 from .graphs import (
-    DUMMY_LABEL,
     GraphPair,
     LabeledGraph,
     adjacency,

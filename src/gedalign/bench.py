@@ -16,6 +16,7 @@ aggregate JSON (``mae``, ``si``, ``pairs``, ``failures``, ``total_ms``).
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -426,7 +427,15 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
                 return None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CorpusFormatError(f"cases[{pos}]: {key!r} must be a number or null")
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past float range
+                number = math.inf
+            if not (math.isfinite(number) and number >= 0):
+                raise CorpusFormatError(
+                    f"cases[{pos}]: {key!r} must be finite and non-negative, got {number}"
+                )
+            return number
 
         applied_edits = entry.get("applied_edits")
         if applied_edits is not None and (

@@ -97,8 +97,8 @@ def _mapping_json(pair: GraphPair, mapping: tuple[int, ...]) -> list[dict]:
             {
                 "from": i,
                 "to": j,
-                "from_dummy": pair.g1.is_dummy(i),
-                "to_dummy": pair.g2.is_dummy(j),
+                "from_dummy": i >= pair.g1.order,
+                "to_dummy": j >= pair.g2.order,
             }
         )
     return rows

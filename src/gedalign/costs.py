@@ -1,14 +1,14 @@
 """Edit-cost semantics: built-in settings, custom cost files, node-cost matrices.
 
 A cost model fixes the price of every node edit (insert, delete, substitute)
-and a single squared edge-edit cost. The node-cost matrix ``D`` of a padded
-pair prices mapping node ``i`` of the first graph onto node ``j`` of the
-second:
+and a single squared edge-edit cost. The node-cost matrix ``D`` of a pair of
+orders ``n1`` and ``n2`` is ``max(n1, n2)`` square; entry ``(i, j)`` prices
+mapping index ``i`` of the first graph onto index ``j`` of the second. It is
+filled in blocks (Riesen & Bunke, IVC 2009):
 
-* ``i`` is a padding node  ->  insertion cost of ``j``'s label
-* ``j`` is a padding node  ->  deletion cost of ``i``'s label
-* labels differ            ->  substitution cost
-* otherwise                ->  0
+* ``i < n1`` and ``j < n2``  ->  substitution cost (0 for equal labels)
+* ``j >= n2`` (padding)      ->  deletion cost of ``i``'s label
+* ``i >= n1`` (padding)      ->  insertion cost of ``j``'s label
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import IO, AbstractSet, Mapping
 import numpy as np
 
 from .errors import CostModelError
-from .graphs import DUMMY_LABEL, GraphPair
+from .graphs import GraphPair
 
 BUILTIN_SETTINGS = ("case1", "case2", "case3")
 
@@ -89,26 +89,15 @@ class CostModel:
             self.substitute_costs.get((from_label, to_label), self.substitute_default)
         )
 
-    def node_edit_cost(
-        self, from_label: str, to_label: str, label_pool: AbstractSet[str] | None = None
-    ) -> float:
-        """Cost of mapping a node with ``from_label`` onto one with ``to_label``.
-
-        Either side may be the padding label, encoding insertion or deletion.
-        """
-        if from_label == to_label:
-            return 0.0
-        if from_label == DUMMY_LABEL:
-            return self.node_insert_cost(to_label)
-        if to_label == DUMMY_LABEL:
-            return self.node_delete_cost(from_label)
-        return self.node_substitute_cost(from_label, to_label, label_pool)
-
 
 def _check_cost(name: str, value: float) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise CostModelError(f"{name}: cost must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0:
+    try:
+        valid = math.isfinite(value) and value >= 0
+    except OverflowError:
+        raise CostModelError(f"{name}: cost is an integer past float range") from None
+    if not valid:
         raise CostModelError(f"{name}: cost must be finite and nonnegative, got {value}")
 
 
@@ -125,7 +114,7 @@ def _label_id(label: str) -> int:
 def _nearest_label_cost(from_label: str, to_label: str, pool: AbstractSet[str]) -> float:
     """Substitution price under the integer-id nearest-neighbor rule.
 
-    Candidates are the pool's real labels other than the source label itself.
+    Candidates are the pool's labels other than the source label itself.
     The target costs 1 when its id distance attains the candidate minimum
     (ties count as nearest), otherwise 2. A pool with no other candidate
     cannot rank the target, which then costs 2.
@@ -134,7 +123,7 @@ def _nearest_label_cost(from_label: str, to_label: str, pool: AbstractSet[str]) 
     dst = _label_id(to_label)
     best: int | None = None
     for label in pool:
-        if label == from_label or label == DUMMY_LABEL:
+        if label == from_label:
             continue
         dist = abs(_label_id(label) - src)
         if best is None or dist < best:
@@ -237,13 +226,16 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
 
 
 def build_cost_matrix(pair: GraphPair, cm: CostModel) -> np.ndarray:
-    """Node-cost matrix ``D`` of a padded pair; entry ``(i, j)`` prices ``i -> j``."""
-    pool = pair.real_label_pool()
-    n = pair.order
-    d = np.zeros((n, n), dtype=np.float64)
+    """Node-cost matrix ``D`` of a pair; entry ``(i, j)`` prices ``i -> j``."""
+    pool = pair.label_pool()
     labels1 = pair.g1.labels
     labels2 = pair.g2.labels
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = cm.node_edit_cost(labels1[i], labels2[j], pool)
+    n1, n2 = len(labels1), len(labels2)
+    d = np.zeros((pair.order, pair.order), dtype=np.float64)
+    for i, l1 in enumerate(labels1):
+        for j, l2 in enumerate(labels2):
+            d[i, j] = cm.node_substitute_cost(l1, l2, pool)
+        d[i, n2:] = cm.node_delete_cost(l1)
+    for j, l2 in enumerate(labels2):
+        d[n1:, j] = cm.node_insert_cost(l2)
     return d

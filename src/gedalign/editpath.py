@@ -1,14 +1,15 @@
 """Exact edit accounting under a fixed mapping, edit-path extraction, and the
 brute-force oracle.
 
-The distance realized by a mapping ``pi`` over a padded pair is the node term
-plus the edge term::
+The distance realized by a mapping ``pi`` over a pair, aligned over
+``max(n1, n2)`` indices, is the node term plus the edge term::
 
     sum_v cost(label(v) -> label(pi(v)))
     + sum_{v1 < v2} edge_cost_squared * [exactly one of (v1,v2), (pi(v1),pi(v2)) is an edge]
 
-Mapping a real node onto a padding node is a deletion, a padding node onto a
-real node an insertion, and two differently labeled real nodes a substitution.
+Mapping a node onto a padding index (one at or past the second graph's order)
+is a deletion, a padding index of the first graph onto a node an insertion,
+and two differently labeled nodes a substitution.
 One function, ``_mapping_costs``, evaluates this sum for the oracle, the
 solver and the edit path, adding node costs in index order so that a mapping
 gets the same bits wherever it is scored.
@@ -184,7 +185,7 @@ def _slot(i: int, j: int) -> tuple[int, int]:
 
 
 def ged_under_mapping(pair: GraphPair, perm: Permutation, cm: CostModel) -> float:
-    """Exact edit cost realized by ``perm`` on a padded pair."""
+    """Exact edit cost realized by ``perm`` on a pair."""
     return extract_edit_path(pair, perm, cm).total_cost
 
 
@@ -198,30 +199,26 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
     n = pair.order
     if perm.order != n:
         raise ValueError(f"mapping order {perm.order} does not match pair order {n}")
-    pool = pair.real_label_pool()
+    pool = pair.label_pool()
     labels1 = pair.g1.labels
     labels2 = pair.g2.labels
+    n1, n2 = len(labels1), len(labels2)
     m = perm.mapping
-    dummy1 = pair.g1.is_dummy
-    dummy2 = pair.g2.is_dummy
     ops: list[EditOp] = []
     node_costs = [0.0] * n
-    for v in range(n):
-        w = m[v]
-        l1 = labels1[v]
-        l2 = labels2[w]
-        if l1 == l2:
-            continue
-        cost = cm.node_edit_cost(l1, l2, pool)
-        if dummy1(v):
-            ops.append(NodeInsert(target=w, label=l2, cost=cost))
-        elif dummy2(w):
-            ops.append(NodeDelete(node=v, label=l1, cost=cost))
+    for v, w in enumerate(m):
+        if v >= n1:
+            op = NodeInsert(target=w, label=labels2[w], cost=cm.node_insert_cost(labels2[w]))
+        elif w >= n2:
+            op = NodeDelete(node=v, label=labels1[v], cost=cm.node_delete_cost(labels1[v]))
+        elif labels1[v] != labels2[w]:
+            l1, l2 = labels1[v], labels2[w]
+            cost = cm.node_substitute_cost(l1, l2, pool)
+            op = NodeSubstitute(node=v, target=w, from_label=l1, to_label=l2, cost=cost)
         else:
-            ops.append(
-                NodeSubstitute(node=v, target=w, from_label=l1, to_label=l2, cost=cost)
-            )
-        node_costs[v] = cost
+            continue
+        ops.append(op)
+        node_costs[v] = op.cost
     # the edited slots are the symmetric difference of the first graph's
     # edges, carried into the second graph's index space, and the second's
     e1 = set(pair.g1.edges)
@@ -302,8 +299,8 @@ def exact_ged(
     if n == 0:
         return ExactResult(ged=0.0, optimal_mapping=Permutation(()))
     d = build_cost_matrix(pair, cm)
-    a = adjacency(pair.g1)
-    b = adjacency(pair.g2)
+    a = adjacency(pair.g1, n)
+    b = adjacency(pair.g2, n)
     best_total = np.inf
     best_perm: np.ndarray | None = None
     for perms in _permutation_blocks(n):

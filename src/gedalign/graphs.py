@@ -1,4 +1,9 @@
-"""Labeled undirected graphs: model, validation, padding, adjacency, JSON I/O.
+"""Labeled undirected graphs: model, validation, pairs, adjacency, JSON I/O.
+
+A pair of graphs is aligned over ``max(n1, n2)`` node indices. An index at or
+past a graph's own order is padding: mapping a node onto it deletes the node,
+mapping it onto a node inserts one. Padding is implicit in the index; no node,
+label or edge represents it, so every string is a valid label.
 
 Graph JSON schema::
 
@@ -19,9 +24,6 @@ import numpy as np
 
 from .errors import GraphFormatError
 
-#: Reserved label for padding nodes. Real graphs must never use it.
-DUMMY_LABEL = "ε"
-
 
 @dataclass(frozen=True)
 class LabeledGraph:
@@ -29,8 +31,6 @@ class LabeledGraph:
 
     ``labels[i]`` is the label of node ``i``; node ids are the contiguous range
     ``0..order-1``. ``edges`` holds ``(i, j)`` pairs with ``i < j``, sorted.
-    Padding nodes carry :data:`DUMMY_LABEL` and are always isolated and stored
-    after every real node.
     """
 
     labels: tuple[str, ...]
@@ -54,30 +54,10 @@ class LabeledGraph:
                 raise GraphFormatError("edges are not sorted")
             seen.add(edge)
             prev = edge
-        dummy_zone = False
-        for i, label in enumerate(self.labels):
-            if label == DUMMY_LABEL:
-                dummy_zone = True
-            elif dummy_zone:
-                raise GraphFormatError(f"node {i}: real node after a padding node")
-        for i, j in self.edges:
-            if self.labels[i] == DUMMY_LABEL or self.labels[j] == DUMMY_LABEL:
-                raise GraphFormatError(f"edge ({i}, {j}): touches a padding node")
 
     @property
     def order(self) -> int:
         return len(self.labels)
-
-    @property
-    def dummy_count(self) -> int:
-        return sum(1 for label in self.labels if label == DUMMY_LABEL)
-
-    def is_dummy(self, node: int) -> bool:
-        return self.labels[node] == DUMMY_LABEL
-
-    def real_labels(self) -> frozenset[str]:
-        """Set of labels carried by non-padding nodes."""
-        return frozenset(label for label in self.labels if label != DUMMY_LABEL)
 
 
 def make_graph(labels: Sequence[str], edges: Iterable[Sequence[int]]) -> LabeledGraph:
@@ -85,11 +65,8 @@ def make_graph(labels: Sequence[str], edges: Iterable[Sequence[int]]) -> Labeled
 
     Edge pairs may come in either orientation; they are normalized to
     ``first < second`` and sorted. Duplicates (in any orientation) and
-    self-loops are errors, as is any use of the reserved padding label.
+    self-loops are errors.
     """
-    for i, label in enumerate(labels):
-        if label == DUMMY_LABEL:
-            raise GraphFormatError(f"node {i}: label {DUMMY_LABEL!r} is reserved for padding")
     normalized: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     n = len(labels)
@@ -112,53 +89,30 @@ def make_graph(labels: Sequence[str], edges: Iterable[Sequence[int]]) -> Labeled
 
 @dataclass(frozen=True)
 class GraphPair:
-    """Two graphs padded to a common order.
-
-    At most one side carries padding nodes, and only as many as the original
-    size difference.
-    """
+    """Two unpadded graphs, aligned over ``order = max(g1.order, g2.order)``
+    indices; the indices past a graph's own order are its padding."""
 
     g1: LabeledGraph
     g2: LabeledGraph
 
-    def __post_init__(self) -> None:
-        if self.g1.order != self.g2.order:
-            raise GraphFormatError(
-                f"pair orders differ: {self.g1.order} vs {self.g2.order}"
-            )
-        if self.g1.dummy_count and self.g2.dummy_count:
-            raise GraphFormatError("both graphs of a pair carry padding nodes")
-
     @property
     def order(self) -> int:
-        return self.g1.order
+        return max(self.g1.order, self.g2.order)
 
-    def real_label_pool(self) -> frozenset[str]:
-        """Union of the two graphs' real label sets."""
-        return self.g1.real_labels() | self.g2.real_labels()
-
-
-def _pad(g: LabeledGraph, count: int) -> LabeledGraph:
-    if count == 0:
-        return g
-    return LabeledGraph(labels=g.labels + (DUMMY_LABEL,) * count, edges=g.edges)
+    def label_pool(self) -> frozenset[str]:
+        """Union of the two graphs' label sets; padding carries no label."""
+        return frozenset(self.g1.labels) | frozenset(self.g2.labels)
 
 
 def pad_pair(g1: LabeledGraph, g2: LabeledGraph) -> GraphPair:
-    """Equalize graph orders by appending isolated padding nodes to the smaller one.
-
-    Original node indices are preserved; padding nodes take the trailing
-    indices. Inputs must be unpadded.
-    """
-    if g1.dummy_count or g2.dummy_count:
-        raise GraphFormatError("pad_pair inputs must not already contain padding nodes")
-    n = max(g1.order, g2.order)
-    return GraphPair(g1=_pad(g1, n - g1.order), g2=_pad(g2, n - g2.order))
+    """Pair two graphs for alignment; the smaller one is padded implicitly."""
+    return GraphPair(g1=g1, g2=g2)
 
 
-def adjacency(g: LabeledGraph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix; padding nodes give zero rows/columns."""
-    a = np.zeros((g.order, g.order), dtype=np.float64)
+def adjacency(g: LabeledGraph, order: int) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix of ``g`` padded to ``order`` nodes;
+    padding rows and columns are zero."""
+    a = np.zeros((order, order), dtype=np.float64)
     for i, j in g.edges:
         a[i, j] = 1.0
         a[j, i] = 1.0
@@ -168,8 +122,7 @@ def adjacency(g: LabeledGraph) -> np.ndarray:
 def load_graph(source: bytes | str | IO) -> LabeledGraph:
     """Parse and validate a graph document (bytes, text, or a readable stream).
 
-    The result never contains padding nodes. Every violation is reported with
-    the offending location.
+    Every violation is reported with the offending location.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -212,9 +165,7 @@ def load_graph(source: bytes | str | IO) -> LabeledGraph:
 
 
 def save_graph(g: LabeledGraph) -> str:
-    """Canonical JSON text for a graph; refuses graphs with padding nodes."""
-    if g.dummy_count:
-        raise GraphFormatError("cannot serialize a padded graph")
+    """Canonical JSON text for a graph."""
     doc = {
         "nodes": [{"id": i, "label": label} for i, label in enumerate(g.labels)],
         "edges": [list(edge) for edge in g.edges],

@@ -38,7 +38,7 @@ def value_and_grad(
              + 2 * sigma * ((P 1 - 1) 1^T + 1 (P^T 1 - 1)^T)
 
     ``R`` is formed once and serves both. Shapes are not checked: the caller
-    builds all four matrices from one padded pair.
+    builds all four matrices from one pair.
     """
     r = a @ p - p @ b
     value = 0.5 * float(np.sum(r * r))

@@ -8,7 +8,7 @@ feasibility penalty by a growth factor up to a cap. The best scored mapping
 over all rounds is reported; by construction it can only overestimate the
 true distance. The trace records, per round, the smallest penalized
 objective value the inner loop saw, at the iterate it rounded. The kernel
-takes plain arrays, all built once per solve from one validated padded pair.
+takes plain arrays, all built once per solve from one pair.
 
 The problem keeps its original node coordinates for the whole solve:
 recentering it around each rounding would only permute the rows of the
@@ -182,7 +182,7 @@ class SolveReport:
 
 
 def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) -> SolveReport:
-    """Estimate the edit distance of a padded pair.
+    """Estimate the edit distance of a pair.
 
     The alignment starts at the identity with the regularizer off. Every
     round: minimize from the previous round's iterate, round it to a
@@ -196,8 +196,8 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     if cfg is None:
         cfg = SolverConfig()
     n = pair.order
-    a = adjacency(pair.g1)
-    b = adjacency(pair.g2)
+    a = adjacency(pair.g1, n)
+    b = adjacency(pair.g2, n)
     d = build_cost_matrix(pair, cm)
     lb = lower_bound(d, a, b, cm.edge_cost_squared)
 
@@ -277,9 +277,10 @@ def estimate_ged(
     cm: CostModel,
     cfg: SolverConfig | None = None,
 ) -> SolveReport:
-    """Pad two raw graphs to a common order and solve.
+    """Pair two graphs and solve.
 
-    The report's mapping runs over padded indices; mappings that touch a
-    padding node encode deletions and insertions in the edit path.
+    The report's mapping runs over ``max(n1, n2)`` indices; an index past a
+    graph's own order is padding, and mapping to or from it encodes a deletion
+    or an insertion in the edit path.
     """
     return solve_pair(pad_pair(g1, g2), cm, cfg)

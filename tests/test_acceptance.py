@@ -87,7 +87,7 @@ def test_objective_equals_edit_accounting_at_permutations():
         for setting in SETTINGS:
             cm = builtin_cost_model(setting)
             kappa = np.sqrt(cm.edge_cost_squared)
-            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
+            a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             value = value_and_grad(a, b, d, p, 1.0, 0.0, 0.0)[0]
             gap = abs(value - ged_under_mapping(pair, perm, cm))
@@ -111,8 +111,8 @@ def test_alignment_norm_counts_edge_edits():
         pair = random_pair(rng)
         perm = random_permutation(rng, pair.order)
         p = perm.matrix()
-        a = adjacency(pair.g1)
-        b = adjacency(pair.g2)
+        a = adjacency(pair.g1, pair.order)
+        b = adjacency(pair.g2, pair.order)
         residual = a @ p - p @ b
         frobenius_sq = float(np.sum(residual * residual))
         path = extract_edit_path(pair, perm, cm)

@@ -248,6 +248,22 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match=r"cases\[1\]: 'applied_edits'"):
             load_corpus(tmp_path / "corpus")
 
+    @pytest.mark.parametrize("key", ["true_ged", "applied_cost"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), -1, -0.5, 10**400],
+        ids=["nan", "inf", "-inf", "-1", "-0.5", "1e400-int"],
+    )
+    def test_bad_number(self, tmp_path, key, value):
+        # json reads NaN and +-Infinity literals and exact 401-digit integers
+        write_corpus(small_corpus(seed=21, count=2), tmp_path / "corpus")
+        index_path = tmp_path / "corpus" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["cases"][1][key] = value
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(CorpusFormatError, match=rf"cases\[1\]: '{key}' must be finite"):
+            load_corpus(tmp_path / "corpus")
+
     def test_bench_over_loaded_corpus_matches_in_memory(self, tmp_path):
         cases = small_corpus(seed=33, count=4)
         write_corpus(cases, tmp_path / "corpus")

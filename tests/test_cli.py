@@ -105,6 +105,21 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "edge_cost_squared" in capsys.readouterr().err
 
+    def test_cost_past_float_range(self, tmp_path, graph_files, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_text(
+            json.dumps(
+                {
+                    "edge_cost_squared": 10**400,
+                    "node_insert": {"default": 2.0},
+                    "node_delete": {"default": 2.0},
+                }
+            )
+        )
+        code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--cost", f"file:{costs}"])
+        assert code == EXIT_INPUT
+        assert "float range" in capsys.readouterr().err
+
     def test_out_file(self, graph_files, tmp_path):
         out = tmp_path / "report.json"
         code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--out", str(out)])
@@ -129,6 +144,50 @@ class TestExact:
         code = main(["exact", graph_files["big"], graph_files["big"]])
         assert code == EXIT_BUDGET
         assert "refused" in capsys.readouterr().err
+
+
+# edit paths of the 1- and 3-node graphs below under case1, as the CLI printed
+# them when padding was still stored as labelled nodes
+PADDED_PATHS = {
+    ("one", "three"): (
+        '{"ops": [{"cost": 0.0, "from_label": "a", "kind": "node_substitute", "node": 0, '
+        '"target": 0, "to_label": "b"}, {"cost": 3.0, "kind": "node_insert", "label": "a", '
+        '"target": 1}, {"cost": 3.0, "kind": "node_insert", "label": "b", "target": 2}, '
+        '{"cost": 2.0, "kind": "edge_insert", "node_a": 0, "node_b": 1, "target_a": 0, '
+        '"target_b": 1}, {"cost": 2.0, "kind": "edge_insert", "node_a": 1, "node_b": 2, '
+        '"target_a": 1, "target_b": 2}], "total_cost": 10.0}'
+    ),
+    ("three", "one"): (
+        '{"ops": [{"cost": 0.0, "from_label": "b", "kind": "node_substitute", "node": 0, '
+        '"target": 0, "to_label": "a"}, {"cost": 1.0, "kind": "node_delete", "label": "a", '
+        '"node": 1}, {"cost": 1.0, "kind": "node_delete", "label": "b", "node": 2}, '
+        '{"cost": 2.0, "kind": "edge_delete", "node_a": 0, "node_b": 1}, {"cost": 2.0, '
+        '"kind": "edge_delete", "node_a": 1, "node_b": 2}], "total_cost": 6.0}'
+    ),
+}
+
+
+class TestPaddingFlags:
+    @pytest.mark.parametrize("command", ["estimate", "exact"])
+    @pytest.mark.parametrize("first, second", sorted(PADDED_PATHS))
+    def test_flags_mark_indices_past_each_order(self, tmp_path, capsys, command, first, second):
+        graphs = {
+            "one": make_graph(["a"], []),
+            "three": make_graph(["b", "a", "b"], [(0, 1), (1, 2)]),
+        }
+        paths = {}
+        for name, g in graphs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(save_graph(g), encoding="utf-8")
+        code = main([command, str(paths[first]), str(paths[second]), "--cost", "case1"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        n1, n2 = graphs[first].order, graphs[second].order
+        assert [row["from"] for row in doc["mapping"]] == [0, 1, 2]
+        for row in doc["mapping"]:
+            assert row["from_dummy"] is (row["from"] >= n1)
+            assert row["to_dummy"] is (row["to"] >= n2)
+        assert json.dumps(doc["edit_path"], sort_keys=True) == PADDED_PATHS[(first, second)]
 
 
 class TestGenAndBench:
@@ -162,6 +221,17 @@ class TestGenAndBench:
     def test_bench_invalid_corpus(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path), "--cost", "case3"])
         assert code == EXIT_INPUT
+
+    def test_bench_non_finite_truth(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["gen", "--seed", "3", "--count", "2", "--n-min", "3", "--n-max", "4", "--out", str(corpus)])
+        index = json.loads((corpus / "index.json").read_text())
+        index["cases"][0]["true_ged"] = float("nan")
+        (corpus / "index.json").write_text(json.dumps(index))
+        capsys.readouterr()
+        code = main(["bench", str(corpus), "--cost", "case3", "--out", str(tmp_path / "report")])
+        assert code == EXIT_INPUT
+        assert "'true_ged'" in capsys.readouterr().err
 
     def test_generated_graphs_load_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -148,7 +148,9 @@ class TestLoadCostModel:
         with pytest.raises(CostModelError, match="parse error"):
             load_cost_model(b"{broken")
 
-    @pytest.mark.parametrize("edge_cost", ["1", None, True, [1.0]])
+    @pytest.mark.parametrize(
+        "edge_cost", ["1", None, True, [1.0], pytest.param(10**400, id="int-past-float-range")]
+    )
     def test_edge_cost_must_be_a_number(self, edge_cost):
         doc = {
             "edge_cost_squared": edge_cost,
@@ -156,6 +158,19 @@ class TestLoadCostModel:
             "node_delete": {"default": 1.0},
         }
         with pytest.raises(CostModelError, match="edge_cost_squared"):
+            load_cost_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("section", ["node_insert", "node_delete"])
+    def test_default_past_float_range(self, section):
+        # json.loads reads a 401-digit literal as an exact int; float() of it
+        # overflows
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+        }
+        doc[section]["default"] = 10**400
+        with pytest.raises(CostModelError, match="_default: cost is an integer past float range"):
             load_cost_model(json.dumps(doc))
 
     @pytest.mark.parametrize("pairs", [5, None, 1.5, True])

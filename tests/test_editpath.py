@@ -8,7 +8,6 @@ import pytest
 from gedalign import (
     BudgetExceededError,
     CostModel,
-    DUMMY_LABEL,
     Permutation,
     adjacency,
     builtin_cost_model,
@@ -35,11 +34,16 @@ TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph("xxx", [(0, 1), (1, 2)])
 
 
+def padded_labels(g, order):
+    """``g``'s labels over ``order`` indices, ``None`` on its padding slots."""
+    return {v: g.labels[v] if v < g.order else None for v in range(order)}
+
+
 def replay_edit_path(pair, path, perm):
     """Apply the extracted operations to the first graph, in the second
-    graph's index space, and return (labels, edges)."""
-    n = pair.order
-    labels = {perm.mapping[v]: pair.g1.labels[v] for v in range(n)}
+    graph's index space, and return (labels, edges); a padding slot's label
+    is ``None``."""
+    labels = {perm.mapping[v]: lab for v, lab in padded_labels(pair.g1, pair.order).items()}
     edges = set()
     for i, j in pair.g1.edges:
         a, b = perm.mapping[i], perm.mapping[j]
@@ -48,7 +52,7 @@ def replay_edit_path(pair, path, perm):
         if isinstance(op, NodeInsert):
             labels[op.target] = op.label
         elif isinstance(op, NodeDelete):
-            labels[perm.mapping[op.node]] = DUMMY_LABEL
+            labels[perm.mapping[op.node]] = None
         elif isinstance(op, NodeSubstitute):
             labels[op.target] = op.to_label
         elif isinstance(op, EdgeDelete):
@@ -138,7 +142,7 @@ class TestExtractEditPath:
             perm = Permutation(tuple(int(x) for x in rng.permutation(pair.order)))
             path = extract_edit_path(pair, perm, cm)
             labels, edges = replay_edit_path(pair, path, perm)
-            assert labels == {w: pair.g2.labels[w] for w in range(pair.order)}
+            assert labels == padded_labels(pair.g2, pair.order)
             assert edges == set(pair.g2.edges)
 
     def test_json_shape(self):
@@ -260,7 +264,7 @@ class TestExactGed:
         for _ in range(8):
             g1 = random_graph(rng, int(rng.integers(2, 6)), ("0", "1", "2", "3"))
             g2 = random_graph(rng, int(rng.integers(2, 6)), ("0", "1", "2", "3"))
-            pool = pad_pair(g1, g2).real_label_pool()
+            pool = pad_pair(g1, g2).label_pool()
             expected = nx.graph_edit_distance(
                 to_nx(g1),
                 to_nx(g2),
@@ -284,8 +288,8 @@ class TestExactGed:
 class TestLowerBound:
     def test_row_column_and_edge_terms(self):
         d = np.array([[0.0, 5.0], [3.0, 4.0]])
-        a = adjacency(graph("ab", [(0, 1)]))
-        b = adjacency(graph("ab"))
+        a = adjacency(graph("ab", [(0, 1)]), 2)
+        b = adjacency(graph("ab"), 2)
         # rows give 0 + 3, columns 0 + 4; one edge slot must change
         assert lower_bound(d, a, b, 2.0) == 4.0 + 2.0
 
@@ -309,8 +313,8 @@ class TestObjectiveEquivalence:
             g1 = random_graph(rng, int(rng.integers(1, 5)), ("a", "b"))
             g2 = random_graph(rng, int(rng.integers(1, 5)), ("a", "b"))
             pair = pad_pair(g1, g2)
-            a = adjacency(pair.g1)
-            b = adjacency(pair.g2)
+            a = adjacency(pair.g1, pair.order)
+            b = adjacency(pair.g2, pair.order)
             for mapping in itertools.permutations(range(pair.order)):
                 perm = Permutation(mapping)
                 p = perm.matrix()
@@ -327,7 +331,7 @@ class TestObjectiveEquivalence:
             g2 = random_graph(rng, int(rng.integers(1, 8)), ("0", "1", "2", "3"))
             pair = pad_pair(g1, g2)
             kappa = np.sqrt(cm.edge_cost_squared)
-            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
+            a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             perm = Permutation(tuple(int(x) for x in rng.permutation(pair.order)))
             lhs = value_and_grad(a, b, d, perm.matrix(), 1.0, 0.0, 0.0)[0]

@@ -1,4 +1,4 @@
-"""Graph model, validation, padding, adjacency, and JSON round-trips."""
+"""Graph model, validation, pairing, adjacency, and JSON round-trips."""
 
 import json
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from gedalign import (
-    DUMMY_LABEL,
     GraphFormatError,
-    GraphPair,
     LabeledGraph,
     adjacency,
     load_graph,
@@ -63,11 +61,6 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="parse error"):
             load_graph("{nope")
 
-    def test_reserved_label_rejected(self):
-        doc = json.dumps({"nodes": [{"id": 0, "label": DUMMY_LABEL}], "edges": []})
-        with pytest.raises(GraphFormatError, match="reserved"):
-            load_graph(doc)
-
     def test_missing_sections_rejected(self):
         with pytest.raises(GraphFormatError, match="'edges'"):
             load_graph('{"nodes":[]}')
@@ -87,19 +80,21 @@ class TestRoundTrip:
         assert save_graph(load_graph(text)) == text
         assert '"edges"' in text and text.index('"edges"') < text.index('"nodes"')
 
-    def test_padded_graph_not_serializable(self):
-        pair = pad_pair(graph("a"), graph("ab"))
-        with pytest.raises(GraphFormatError, match="padded"):
-            save_graph(pair.g1)
+    def test_epsilon_is_a_plain_label(self):
+        doc = json.dumps({"nodes": [{"id": 0, "label": "ε"}, {"id": 1, "label": "a"}],
+                          "edges": [[0, 1]]})
+        g = load_graph(doc)
+        assert g.labels == ("ε", "a")
+        assert load_graph(save_graph(g)) == g
 
 
 class TestPadPair:
     def test_smaller_side_gains_dummies(self):
-        pair = pad_pair(graph("a"), graph("xyz"))
+        g1, g2 = graph("a"), graph("xyz")
+        pair = pad_pair(g1, g2)
         assert pair.order == 3
-        assert pair.g1.labels == ("a", DUMMY_LABEL, DUMMY_LABEL)
-        assert pair.g1.dummy_count == 2
-        assert pair.g2.dummy_count == 0
+        assert pair.g1 == g1 and pair.g2 == g2
+        assert pad_pair(g2, g1).order == 3
 
     def test_equal_orders_unchanged(self):
         g1, g2 = graph("abc"), graph("xyz")
@@ -107,59 +102,46 @@ class TestPadPair:
         assert pair.g1 == g1 and pair.g2 == g2
 
     def test_empty_graph_becomes_all_dummies(self):
-        pair = pad_pair(graph(""), graph("ab", [(0, 1)]))
-        assert pair.g1.labels == (DUMMY_LABEL, DUMMY_LABEL)
-        assert pair.g1.edges == ()
+        g1, g2 = graph(""), graph("ab", [(0, 1)])
+        pair = pad_pair(g1, g2)
+        assert pair.order == 2
+        assert pair.g1 == g1
+        assert not adjacency(pair.g1, pair.order).any()
 
     def test_dummies_are_isolated_and_trailing(self, rng):
         for _ in range(20):
             g1 = random_graph(rng, int(rng.integers(0, 7)), ("a", "b"))
             g2 = random_graph(rng, int(rng.integers(0, 7)), ("a", "b"))
             pair = pad_pair(g1, g2)
-            assert pair.g1.order == pair.g2.order == max(g1.order, g2.order)
-            padded = pair.g1 if g1.order < g2.order else pair.g2
-            original = g1 if g1.order < g2.order else g2
-            assert padded.labels[: original.order] == original.labels
-            assert padded.edges == original.edges
-            assert all(padded.is_dummy(i) for i in range(original.order, padded.order))
-
-    def test_rejects_already_padded_inputs(self):
-        pair = pad_pair(graph("a"), graph("ab"))
-        with pytest.raises(GraphFormatError, match="padding"):
-            pad_pair(pair.g1, pair.g2)
-
-    def test_pair_invariants_enforced(self):
-        with pytest.raises(GraphFormatError, match="orders differ"):
-            GraphPair(g1=graph("a"), g2=graph("ab"))
-        left = LabeledGraph(labels=("a", DUMMY_LABEL), edges=())
-        right = LabeledGraph(labels=("b", DUMMY_LABEL), edges=())
-        with pytest.raises(GraphFormatError, match="both graphs"):
-            GraphPair(g1=left, g2=right)
+            assert pair.g1 is g1 and pair.g2 is g2
+            assert pair.order == max(g1.order, g2.order)
 
 
 class TestAdjacency:
     def test_single_edge(self):
-        a = adjacency(graph("ab", [(0, 1)]))
+        a = adjacency(graph("ab", [(0, 1)]), 2)
         assert np.array_equal(a, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_empty_graph_is_zero_matrix(self):
-        assert np.array_equal(adjacency(graph("abc")), np.zeros((3, 3)))
+        assert np.array_equal(adjacency(graph("abc"), 3), np.zeros((3, 3)))
 
     def test_triangle_all_off_diagonal(self):
-        a = adjacency(graph("abc", [(0, 1), (1, 2), (0, 2)]))
+        a = adjacency(graph("abc", [(0, 1), (1, 2), (0, 2)]), 3)
         assert np.array_equal(a, np.ones((3, 3)) - np.eye(3))
 
     def test_symmetric_zero_diagonal_edge_count(self, rng):
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(0, 10)), ("a", "b", "c"))
-            a = adjacency(g)
+            a = adjacency(g, g.order)
             assert np.array_equal(a, a.T)
             assert not np.any(np.diag(a))
             assert a.sum() == 2 * len(g.edges)
 
     def test_dummy_rows_are_zero(self):
         pair = pad_pair(graph("ab", [(0, 1)]), graph("abcd", [(0, 1), (2, 3)]))
-        a = adjacency(pair.g1)
+        a = adjacency(pair.g1, pair.order)
+        assert a.shape == (4, 4)
+        assert np.array_equal(a[:2, :2], adjacency(pair.g1, 2))
         assert not a[2:, :].any() and not a[:, 2:].any()
 
 
@@ -174,7 +156,3 @@ class TestMakeGraph:
     def test_direct_constructor_validates(self):
         with pytest.raises(GraphFormatError, match="ordered"):
             LabeledGraph(labels=("a", "b"), edges=((1, 0),))
-        with pytest.raises(GraphFormatError, match="real node after"):
-            LabeledGraph(labels=(DUMMY_LABEL, "a"), edges=())
-        with pytest.raises(GraphFormatError, match="touches a padding node"):
-            LabeledGraph(labels=("a", DUMMY_LABEL), edges=((0, 1),))

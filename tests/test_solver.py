@@ -1,6 +1,7 @@
 """Projected Adam steps, the inner loop, the full solve, and its postconditions."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestAdamStep:
 class TestInnerMinimize:
     def test_returns_after_one_iteration_at_stationary_point(self):
         # equal matrices, zero costs: the identity is a global optimum
-        a = adjacency(TRIANGLE)
+        a = adjacency(TRIANGLE, 3)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
         p, iters, _ = inner_minimize(a, a, d, p0, 0.0, 1.0, CFG)
@@ -95,7 +96,7 @@ class TestInnerMinimize:
 
     def test_identical_graphs_keep_identity(self):
         pair = pad_pair(TRIANGLE, TRIANGLE)
-        a, b = adjacency(pair.g1), adjacency(pair.g2)
+        a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0, 1.0, CFG)
         assert value_and_grad(a, b, d, p, 1.0, 0.0, 1.0)[0] == 0.0
@@ -106,7 +107,7 @@ class TestInnerMinimize:
         g1 = graph("aa", [(0, 1)])
         g2 = graph("aa")
         pair = pad_pair(g1, g2)
-        a, b = adjacency(pair.g1), adjacency(pair.g2)
+        a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
         value_at_start = value_and_grad(a, b, d, start, 1.0, 0.0, 100.0)[0]
@@ -121,7 +122,7 @@ class TestInnerMinimize:
             pair = pad_pair(g1, g2)
             cm = builtin_cost_model("case1")
             kappa = np.sqrt(cm.edge_cost_squared)
-            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
+            a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             p0 = rng.random((pair.order, pair.order))
             p, _, _ = inner_minimize(a, b, d, p0, 1.0, 10.0, CFG)
@@ -136,7 +137,7 @@ class TestInnerMinimize:
             pair = pad_pair(random_graph(rng, n, ("a", "b")), random_graph(rng, n, ("a", "b")))
             cm = builtin_cost_model("case1")
             kappa = np.sqrt(cm.edge_cost_squared)
-            a, b = kappa * adjacency(pair.g1), kappa * adjacency(pair.g2)
+            a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             lam, sigma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 100.0))
             p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam, sigma, CFG)
@@ -227,6 +228,20 @@ class TestSolvePair:
         cm = builtin_cost_model("case1")
         assert estimate_ged(graph(""), graph("a"), cm).estimated_ged == 3.0
         assert estimate_ged(graph("a"), graph(""), cm).estimated_ged == 1.0
+
+    @pytest.mark.parametrize("setting", ["case1", "case3"])
+    def test_epsilon_label_estimates_like_any_other(self, rng, setting):
+        # "ε" once named the padding nodes; now it is a label like "z"
+        cm = builtin_cost_model(setting)
+        for n1, n2 in [(3, 5), (6, 2), (4, 7)]:
+            g1 = random_graph(rng, n1, ("ε", "a"))
+            g2 = random_graph(rng, n2, ("ε", "a", "b"))
+            relabel = lambda g: graph(["z" if lab == "ε" else lab for lab in g.labels], g.edges)
+            report = estimate_ged(g1, g2, cm)
+            twin = estimate_ged(relabel(g1), relabel(g2), cm)
+            assert replace(report, edit_path=None) == replace(twin, edit_path=None)
+            path = json.dumps(report.edit_path.to_json(), ensure_ascii=False)
+            assert path.replace("ε", "z") == json.dumps(twin.edit_path.to_json())
 
     def test_divergence_is_reported(self, monkeypatch):
         real_value_and_grad = solver_module.value_and_grad
@@ -332,7 +347,7 @@ class TestCertifiedStop:
         # without the guard TRIANGLE vs PATH3 would be certified: its bound,
         # one edge, is its distance
         pair = pad_pair(TRIANGLE, PATH3)
-        a, b = adjacency(pair.g1), adjacency(pair.g2)
+        a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, cm)
         assert editpath_module.lower_bound(d, a, b, cm.edge_cost_squared) is None
         rng = np.random.default_rng(3)
