@@ -406,7 +406,7 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
         raise CorpusFormatError(f"missing corpus index: {index_path}")
     try:
         index = json.loads(index_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CorpusFormatError(f"corpus index parse error: {exc}") from exc
     if not isinstance(index, dict) or not isinstance(index.get("cases"), list):
         raise CorpusFormatError("corpus index must contain a 'cases' array")

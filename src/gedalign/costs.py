@@ -180,7 +180,7 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CostModelError(f"cost JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise CostModelError("cost document must be a JSON object")

@@ -14,11 +14,12 @@ One function, ``_mapping_costs``, evaluates this sum for the oracle, the
 solver and the edit path, adding node costs in index order so that a mapping
 gets the same bits wherever it is scored.
 
-``lower_bound`` gives a cheap bound that no mapping can undercut. When every
-cost is an integer and every sum stays below ``2**53``, all of these sums are
-exact, so a mapping whose cost reaches the bound is provably optimal; the
-solver stops there. The oracle does not: it always scores all ``n!``
-mappings, so its running time depends on the order alone.
+``lower_bound`` gives a cheap bound that no mapping can undercut, from the
+node-cost minima, the sorted degree sequences and the edge-count parity. When
+every cost is an integer and every sum stays below ``2**53``, all of these
+sums are exact, so a mapping whose cost reaches the bound is provably
+optimal; the solver stops there. The oracle does not: it always scores all
+``n!`` mappings, so its running time depends on the order alone.
 """
 
 from __future__ import annotations
@@ -154,9 +155,15 @@ def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float
     """Certified lower bound on the cost of every mapping, or ``None``.
 
     A bijection pays at least each row's minimum of the node-cost matrix ``d``
-    and at least each column's minimum, and it edits at least as many edge
-    slots as the edge counts of the adjacency matrices ``a`` and ``b`` differ
-    by. The bound is the larger node sum plus ``k2`` times that difference.
+    and at least each column's minimum. Each edited edge slot changes two node
+    degrees by one, so a bijection ``pi`` edits at least
+    ``ceil(sum_v |deg_a(v) - deg_b(pi(v))| / 2)`` slots; the sum is smallest
+    when both degree sequences of the adjacency matrices ``a`` and ``b``
+    (padding rows count as degree 0) are sorted. The count of edited slots,
+    ``|E_a| + |E_b| - 2 |common|``, has the parity of ``|E_a| + |E_b|``, so
+    the slot bound is rounded up to that parity; it is never below
+    ``| |E_a| - |E_b| |``. The bound is the larger node sum plus ``k2`` times
+    the slot bound.
 
     It is returned only when it is exact in float64 and so is the cost of
     every mapping: every node cost and ``k2`` are integers (costs are
@@ -176,8 +183,12 @@ def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float
     if n == 0:
         return 0.0
     node = max(d.min(axis=1).sum(), d.min(axis=0).sum())
-    edge_gap = abs(np.count_nonzero(a) - np.count_nonzero(b)) // 2
-    return float(node + k2 * edge_gap)
+    deg_a = np.sort(np.count_nonzero(a, axis=1))
+    deg_b = np.sort(np.count_nonzero(b, axis=1))
+    slots = (int(np.abs(deg_a - deg_b).sum()) + 1) // 2
+    edges = (int(deg_a.sum()) + int(deg_b.sum())) // 2
+    slots += (slots - edges) % 2
+    return float(node + k2 * slots)
 
 
 def _slot(i: int, j: int) -> tuple[int, int]:

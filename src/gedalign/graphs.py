@@ -132,7 +132,7 @@ def load_graph(source: bytes | str | IO) -> LabeledGraph:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise GraphFormatError(f"graph JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")

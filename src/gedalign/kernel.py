@@ -38,20 +38,22 @@ def value_and_grad(
              + 2 * sigma * ((P 1 - 1) 1^T + 1 (P^T 1 - 1)^T)
 
     ``R`` is formed once and serves both. Shapes are not checked: the caller
-    builds all four matrices from one pair.
+    builds all four matrices from one pair. The sums call ``np.add.reduce``,
+    the reduction ``np.sum`` dispatches to, without its per-call wrapper.
     """
+    total = np.add.reduce
     r = a @ p - p @ b
-    value = 0.5 * float(np.sum(r * r))
-    value += mu * float(np.sum(p * d))
-    value += lam * float(np.sum(p * (1.0 - p)))
+    value = 0.5 * float(total(r * r, None))
+    value += mu * float(total(p * d, None))
+    value += lam * float(total(p * (1.0 - p), None))
     g = a @ r - r @ b
     if mu != 0.0:
         g += mu * d
     if lam != 0.0:
         g += lam * (1.0 - 2.0 * p)
     if sigma != 0.0:
-        row = p.sum(axis=1) - 1.0
-        col = p.sum(axis=0) - 1.0
-        value += sigma * float(np.sum(row * row) + np.sum(col * col))
+        row = total(p, 1) - 1.0
+        col = total(p, 0) - 1.0
+        value += sigma * float(total(row * row, None) + total(col * col, None))
         g += (2.0 * sigma) * (row[:, None] + col[None, :])
     return value, g

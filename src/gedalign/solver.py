@@ -114,7 +114,9 @@ def inner_minimize(
 
     ``a`` and ``b`` are the kappa-scaled adjacency matrices; the node-cost
     weight is ``cfg.mu``. Each step is one bias-corrected Adam update followed
-    by projection onto ``[0, 1]``; the moments start at zero. Stops when the
+    by projection onto ``[0, 1]``; the moments start at zero and are updated
+    in place, one ufunc per operation of the textbook update and in its
+    order, so each step has the bits of the out-of-place update. Stops when the
     change between successive objective values drops below ``INNER_TOL`` or
     after ``cfg.inner_max_iters`` steps. Returns the best iterate seen (Adam
     is not monotone, so the last iterate may be worse than the start), the
@@ -126,6 +128,7 @@ def inner_minimize(
     p = np.asarray(p0, dtype=np.float64)
     m = np.zeros(p.shape)
     v = np.zeros(p.shape)
+    s, t = np.empty(p.shape), np.empty(p.shape)  # scratch
     prev, g = value_and_grad(a, b, d, p, mu, lam, sigma)
     if not math.isfinite(prev):
         raise DivergenceError("non-finite objective at the inner start")
@@ -133,14 +136,19 @@ def inner_minimize(
     best_value = prev
     steps = 0
     for step in range(1, cfg.inner_max_iters + 1):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**step)
-        v_hat = v / (1.0 - b2**step)
-        p = p - cfg.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        np.clip(p, 0.0, 1.0, out=p)
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=s), out=m)
+        np.multiply(np.multiply(g, 1.0 - b2, out=t), g, out=t)
+        np.add(np.multiply(v, b2, out=v), t, out=v)
+        # p = p - alpha * m_hat / (sqrt(v_hat) + eps), a fresh array: best_p
+        # may hold the previous iterate
+        np.multiply(np.divide(m, 1.0 - b1**step, out=s), cfg.alpha, out=s)
+        np.add(np.sqrt(np.divide(v, 1.0 - b2**step, out=t), out=t), ADAM_EPS, out=t)
+        p = p - np.divide(s, t, out=s)
+        # as np.clip, apart from the sign of a -0.0, which no iterate of a solve holds
+        np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)
         current, g = value_and_grad(a, b, d, p, mu, lam, sigma)
         steps = step
         if not math.isfinite(current):

@@ -226,6 +226,12 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
 
+    def test_index_integer_past_the_digit_limit(self, tmp_path):
+        # json refuses to convert an integer literal of more than 4300 digits
+        (tmp_path / "index.json").write_text('{"cases": [], "seed": 1' + "0" * 5000 + "}")
+        with pytest.raises(CorpusFormatError, match="parse error"):
+            load_corpus(tmp_path)
+
     @pytest.mark.parametrize("key", ["id", "g1", "g2"])
     def test_non_string_entry_field(self, tmp_path, key):
         # rejected at load time: an integer id would otherwise fail only

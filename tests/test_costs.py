@@ -92,6 +92,12 @@ class TestLoadCostModel:
         assert cm.node_delete_cost("anything") == 2.0
         assert cm.edge_cost_squared == 1.0
 
+    def test_integer_past_the_digit_limit_is_error(self):
+        # json refuses to convert an integer literal of more than 4300 digits
+        text = '{"edge_cost_squared": 1' + "0" * 5000 + "}"
+        with pytest.raises(CostModelError, match="parse error"):
+            load_cost_model(text)
+
     def test_missing_edge_cost_is_error(self):
         doc = {"node_insert": {"default": 1.0}, "node_delete": {"default": 1.0}}
         with pytest.raises(CostModelError, match="edge_cost_squared"):

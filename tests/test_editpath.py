@@ -293,6 +293,42 @@ class TestLowerBound:
         # rows give 0 + 3, columns 0 + 4; one edge slot must change
         assert lower_bound(d, a, b, 2.0) == 4.0 + 2.0
 
+    def test_sorted_degree_term(self):
+        # equal labels and edge counts; sorted degrees 1,1,2,2 against 1,1,1,3
+        # differ by 2 in all, so one slot, rounded up to the even edge total
+        path4 = graph("aaaa", [(0, 1), (1, 2), (2, 3)])
+        star4 = graph("aaaa", [(0, 1), (0, 2), (0, 3)])
+        cm = builtin_cost_model("case3")
+        pair = pad_pair(path4, star4)
+        a, b = adjacency(pair.g1, 4), adjacency(pair.g2, 4)
+        d = build_cost_matrix(pair, cm)
+        assert lower_bound(d, a, b, cm.edge_cost_squared) == 2.0
+        assert exact_ged(path4, star4, cm).ged == 2.0
+
+    def test_parity_round_up(self):
+        # a path of three nodes and an isolated node against two disjoint
+        # edges: the degrees differ by 2 in all (one slot) and the edge counts
+        # are equal, but 2 + 2 edges force an even number of edited slots
+        g1 = graph("aaaa", [(0, 1), (1, 2)])
+        g2 = graph("aaaa", [(0, 1), (2, 3)])
+        a, b = adjacency(g1, 4), adjacency(g2, 4)
+        d = np.zeros((4, 4))
+        assert lower_bound(d, a, b, 1.0) == 2.0
+        assert exact_ged(g1, g2, builtin_cost_model("case3")).ged == 2.0
+
+    def test_never_below_the_edge_count_difference(self, rng):
+        for trial in range(40):
+            cm = builtin_cost_model(("case1", "case2", "case3")[trial % 3])
+            g1 = random_graph(rng, int(rng.integers(0, 9)), ("0", "1", "2"), 0.5)
+            g2 = random_graph(rng, int(rng.integers(0, 9)), ("0", "1", "2"), 0.2)
+            pair = pad_pair(g1, g2)
+            a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
+            d = build_cost_matrix(pair, cm)
+            k2 = cm.edge_cost_squared
+            node = max(d.min(axis=1).sum(), d.min(axis=0).sum()) if pair.order else 0.0
+            edge_gap = abs(len(g1.edges) - len(g2.edges))
+            assert lower_bound(d, a, b, k2) >= node + k2 * edge_gap
+
     def test_none_unless_sums_are_exact(self):
         a = b = np.zeros((2, 2))
         # a fractional node cost

@@ -37,6 +37,12 @@ class TestLoadGraph:
         with open(path, "rb") as handle:
             assert load_graph(handle) == load_graph(text)
 
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json refuses to convert an integer literal of more than 4300 digits
+        text = '{"nodes":[{"id":1' + "0" * 5000 + ',"label":"a"}],"edges":[]}'
+        with pytest.raises(GraphFormatError, match="parse error"):
+            load_graph(text)
+
     def test_self_loop_rejected(self):
         doc = '{"nodes":[{"id":0,"label":"a"}],"edges":[[0,0]]}'
         with pytest.raises(GraphFormatError, match="edges\\[0\\].*self-loop"):

@@ -11,6 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gedalign import (  # noqa: E402
+    adjacency,
+    build_cost_matrix,
     builtin_cost_model,
     estimate_ged,
     exact_ged,
@@ -18,6 +20,7 @@ from gedalign import (  # noqa: E402
     make_graph,
     pad_pair,
 )
+from gedalign.editpath import lower_bound  # noqa: E402
 
 #: integer labels, so that case2's nearest-label substitution applies
 LABELS = ("0", "1", "2", "3")
@@ -44,3 +47,19 @@ def test_bound_truth_estimate_and_replay(g1, g2, setting):
     assert report.lower_bound is not None
     assert report.lower_bound <= truth <= report.estimated_ged
     assert report.estimated_ged == report.edit_path.total_cost == replay
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    g1=graphs(max_order=7),
+    g2=graphs(max_order=7),
+    setting=st.sampled_from(("case1", "case2", "case3")),
+)
+def test_lower_bound_never_exceeds_truth(g1, g2, setting):
+    # the node minima plus the sorted-degree and parity slot count undercut
+    # every mapping, the optimal one included
+    cm = builtin_cost_model(setting)
+    pair = pad_pair(g1, g2)
+    a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
+    d = build_cost_matrix(pair, cm)
+    assert lower_bound(d, a, b, cm.edge_cost_squared) <= exact_ged(g1, g2, cm).ged

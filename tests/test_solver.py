@@ -37,9 +37,14 @@ from conftest import graph, random_graph
 
 TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph("xxx", [(0, 1), (1, 2)])
-# equal labels and edge counts: lower bound 0 under case3, true distance 2
+# equal labels and edge counts; the sorted degrees (1,1,2,2 vs 1,1,1,3)
+# certify the true distance 2 under case3
 PATH4 = graph("aaaa", [(0, 1), (1, 2), (2, 3)])
 STAR4 = graph("aaaa", [(0, 1), (0, 2), (0, 3)])
+# both 2-regular with equal labels and 6 edges: lower bound 0 under case3,
+# true distance 4
+CYCLE6 = graph("aaaaaa", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+TWO_TRIANGLES = graph("aaaaaa", [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 CFG = SolverConfig()
 
 
@@ -144,6 +149,84 @@ class TestInnerMinimize:
             assert value == value_and_grad(a, b, d, p, CFG.mu, lam, sigma)[0]
 
 
+def _reference_value_and_grad(a, b, d, p, mu, lam, sigma):
+    """The kernel as plain ``np.sum`` expressions."""
+    r = a @ p - p @ b
+    value = 0.5 * float(np.sum(r * r))
+    value += mu * float(np.sum(p * d))
+    value += lam * float(np.sum(p * (1.0 - p)))
+    g = a @ r - r @ b
+    if mu != 0.0:
+        g += mu * d
+    if lam != 0.0:
+        g += lam * (1.0 - 2.0 * p)
+    if sigma != 0.0:
+        row = p.sum(axis=1) - 1.0
+        col = p.sum(axis=0) - 1.0
+        value += sigma * float(np.sum(row * row) + np.sum(col * col))
+        g += (2.0 * sigma) * (row[:, None] + col[None, :])
+    return value, g
+
+
+def _reference_inner_minimize(a, b, d, p0, lam, sigma, cfg):
+    """Projected Adam written out of place, one fresh array per expression."""
+    b1, b2 = solver_module.ADAM_BETA1, solver_module.ADAM_BETA2
+    p = np.asarray(p0, dtype=np.float64)
+    m = np.zeros(p.shape)
+    v = np.zeros(p.shape)
+    prev, g = _reference_value_and_grad(a, b, d, p, cfg.mu, lam, sigma)
+    best_p, best_value, steps = p, prev, 0
+    for step in range(1, cfg.inner_max_iters + 1):
+        assert np.all(np.isfinite(g))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**step)
+        v_hat = v / (1.0 - b2**step)
+        p = p - cfg.alpha * m_hat / (np.sqrt(v_hat) + solver_module.ADAM_EPS)
+        np.clip(p, 0.0, 1.0, out=p)
+        current, g = _reference_value_and_grad(a, b, d, p, cfg.mu, lam, sigma)
+        steps = step
+        if current < best_value:
+            best_value, best_p = current, p
+        if abs(current - prev) < INNER_TOL:
+            break
+        prev = current
+    return best_p, steps, best_value
+
+
+class TestStepBitIdentity:
+    def test_inner_minimize_matches_the_out_of_place_update(self):
+        # same iterate bits, step count and value bits as the textbook update,
+        # on rounds that stop at the cap and rounds that converge
+        rng = np.random.default_rng(20240501)
+        settings = ("case1", "case2", "case3")
+        params = ((0.0, 1.0), (0.5, 10.0), (1.0, 100.0), (2.0, 1e3))
+        capped = converged = 0
+        for trial in range(30):
+            cm = builtin_cost_model(settings[trial % 3])
+            n = 2 + trial % 7
+            g1 = random_graph(rng, n, ("0", "1", "2"))
+            g2 = random_graph(rng, int(rng.integers(max(1, n - 2), n + 1)), ("0", "1", "2"))
+            pair = pad_pair(g1, g2)
+            kappa = np.sqrt(cm.edge_cost_squared)
+            a = kappa * adjacency(pair.g1, pair.order)
+            b = kappa * adjacency(pair.g2, pair.order)
+            d = build_cost_matrix(pair, cm)
+            lam, sigma = params[trial % 4]
+            p0 = rng.random((pair.order, pair.order)) if trial % 4 == 1 else np.eye(pair.order)
+            cfg = replace(CFG, inner_max_iters=(60, 500)[trial % 5 != 0])
+            p, steps, value = inner_minimize(a, b, d, p0, lam, sigma, cfg)
+            ref_p, ref_steps, ref_value = _reference_inner_minimize(a, b, d, p0, lam, sigma, cfg)
+            assert p.tobytes() == ref_p.tobytes()
+            assert steps == ref_steps
+            assert value.hex() == ref_value.hex()
+            if steps == cfg.inner_max_iters:
+                capped += 1
+            else:
+                converged += 1
+        assert capped >= 5 and converged >= 5
+
+
 class TestSolvePair:
     def test_identical_graphs_estimate_zero(self):
         for setting in ("case1", "case2", "case3"):
@@ -176,10 +259,10 @@ class TestSolvePair:
         report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"))
         assert report.estimated_ged == report.lower_bound == 1.0
         assert report.converged_reason == CERTIFIED_OPTIMAL
-        # the bound (0) is below the truth (2), so only patience ends it
-        report = estimate_ged(PATH4, STAR4, builtin_cost_model("case3"))
+        # the bound (0) is below the truth (4), so only patience ends it
+        report = estimate_ged(CYCLE6, TWO_TRIANGLES, builtin_cost_model("case3"))
         assert report.lower_bound == 0.0
-        assert report.estimated_ged == min(rec.candidate_ged for rec in report.trace) == 2.0
+        assert report.estimated_ged == min(rec.candidate_ged for rec in report.trace) == 4.0
         assert report.trace[0].lam == 0.0
         assert [rec.round_index for rec in report.trace] == list(
             range(1, len(report.trace) + 1)
@@ -208,7 +291,7 @@ class TestSolvePair:
 
     def test_lambda_round_cap(self):
         cfg = replace(CFG, lambda_max_rounds=2, patience=5)
-        report = estimate_ged(PATH4, STAR4, builtin_cost_model("case3"), cfg)
+        report = estimate_ged(CYCLE6, TWO_TRIANGLES, builtin_cost_model("case3"), cfg)
         assert len(report.trace) == 2
         assert report.converged_reason == LAMBDA_ROUNDS_EXHAUSTED
 
