@@ -43,6 +43,6 @@ from .graphs import (
     pad_pair,
     save_graph,
 )
-from .solver import SolveReport, SolverConfig, estimate_ged, solve_pair
+from .solver import SolveReport, SolverConfig, estimate_ged
 
 __version__ = "0.1.0"

@@ -184,26 +184,22 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
     return col_of
 
 
-def solve_assignment(cost: np.ndarray, sense: str = "min") -> Permutation:
-    """Optimal assignment for a square cost matrix.
-
-    ``sense`` is ``"min"`` or ``"max"`` (maximization negates the costs).
-    Among optimal assignments the lexicographically smallest mapping wins.
+def solve_assignment(cost: np.ndarray) -> Permutation:
+    """Minimum-cost assignment for a square cost matrix; to maximize, pass the
+    negated matrix. Among optimal assignments the lexicographically smallest
+    mapping wins.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     n = cost.shape[0]
     if n == 0:
         return Permutation(())
-    work = -cost if sense == "max" else cost
-    row_to_col, u, v = _augmenting_path_lap(work)
-    scale = max(1.0, float(np.abs(work).max()))
-    tight = (work - u[:, None] - v[None, :]) <= 1e-9 * scale
+    row_to_col, u, v = _augmenting_path_lap(cost)
+    scale = max(1.0, float(np.abs(cost).max()))
+    tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)
     return Permutation(tuple(int(j) for j in refined))
@@ -212,4 +208,4 @@ def solve_assignment(cost: np.ndarray, sense: str = "min") -> Permutation:
 def round_to_permutation(p: np.ndarray) -> Permutation:
     """Nearest permutation to a relaxed alignment: maximize the total overlap
     ``sum_i p[i, mapping[i]]``."""
-    return solve_assignment(p, sense="max")
+    return solve_assignment(-np.asarray(p, dtype=np.float64))

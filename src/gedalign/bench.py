@@ -251,39 +251,27 @@ def generate_pairs(
 def _solve_case(args: tuple[PairCase, CostModel, SolverConfig]) -> BenchRow:
     case, cm, cfg = args
     start = time.perf_counter()
+    estimate = abs_err = exact = error = None
+    rounds = 0
     try:
         report = estimate_ged(case.g1, case.g2, cm, cfg)
+        estimate, rounds = report.estimated_ged, len(report.trace)
+        if case.true_ged is not None:
+            abs_err = abs(estimate - case.true_ged)
+            exact = abs_err <= EXACT_MATCH_TOL
     except Exception as exc:  # one failing pair must not abort the whole run
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return BenchRow(
-            case_id=case.case_id,
-            n1=case.g1.order,
-            n2=case.g2.order,
-            true_ged=case.true_ged,
-            estimated_ged=None,
-            abs_err=None,
-            exact_match=None,
-            rounds=0,
-            wall_ms=wall_ms,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    abs_err = None
-    exact = None
-    if case.true_ged is not None:
-        abs_err = abs(report.estimated_ged - case.true_ged)
-        exact = abs_err <= EXACT_MATCH_TOL
+        error = f"{type(exc).__name__}: {exc}"
     return BenchRow(
         case_id=case.case_id,
         n1=case.g1.order,
         n2=case.g2.order,
         true_ged=case.true_ged,
-        estimated_ged=report.estimated_ged,
+        estimated_ged=estimate,
         abs_err=abs_err,
         exact_match=exact,
-        rounds=len(report.trace),
-        wall_ms=wall_ms,
-        error=None,
+        rounds=rounds,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
+        error=error,
     )
 
 
@@ -449,8 +437,8 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
         cases.append(
             PairCase(
                 case_id=entry["id"],
-                g1=load_graph(g_paths[0].read_text(encoding="utf-8")),
-                g2=load_graph(g_paths[1].read_text(encoding="utf-8")),
+                g1=load_graph(g_paths[0].read_bytes()),
+                g2=load_graph(g_paths[1].read_bytes()),
                 true_ged=_number("true_ged"),
                 applied_edits=applied_edits,
                 applied_cost=_number("applied_cost"),

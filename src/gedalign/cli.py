@@ -56,14 +56,14 @@ def _add_cost_option(parser: argparse.ArgumentParser) -> None:
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, default=_DEFAULTS.mu)
     parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
-    parser.add_argument("--lambda-step", type=float, default=_DEFAULTS.lambda_step)
+    parser.add_argument(
+        "--lambda-step",
+        type=float,
+        default=_DEFAULTS.lambda_step,
+        help="regularizer step per round; 0 keeps the regularizer off (ablation)",
+    )
     parser.add_argument("--patience", type=int, default=_DEFAULTS.patience)
     parser.add_argument("--sigma-cap", type=float, default=_DEFAULTS.sigma_cap)
-    parser.add_argument(
-        "--no-regularizer",
-        action="store_true",
-        help="keep the permutation-inducing regularizer off (ablation)",
-    )
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -73,7 +73,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         lambda_step=args.lambda_step,
         patience=args.patience,
         sigma_cap=args.sigma_cap,
-        enable_regularizer=not args.no_regularizer,
     )
 
 

@@ -176,11 +176,11 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
         data = source.read()
     else:
         data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise CostModelError(f"cost JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise CostModelError("cost document must be a JSON object")

@@ -40,8 +40,7 @@ from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
 #: Default cap on the padded order accepted by the exhaustive oracle.
 DEFAULT_NODE_BUDGET = 9
 
-_PERM_TAIL = 7  # trailing positions enumerated within one scoring block
-_PERM_BLOCK = math.factorial(_PERM_TAIL)  # permutations per block; bounds peak memory
+_PERM_TAIL = 7  # trailing positions enumerated within one block of 7! or fewer rows
 
 
 @dataclass(frozen=True)
@@ -266,20 +265,17 @@ def _lex_table(k: int) -> np.ndarray:
 def _permutation_blocks(n: int) -> Iterator[np.ndarray]:
     """Lexicographically ordered permutations of ``0..n-1`` in bounded blocks.
 
-    Up to ``_PERM_TAIL`` nodes the whole enumeration is one block. Beyond, each
-    block fixes one prefix of ``n - _PERM_TAIL`` values, taken in lexicographic
-    order, and runs the cached table of the tail over the remaining values in
-    increasing order.
+    Each block fixes one prefix of ``n - _PERM_TAIL`` values, taken in
+    lexicographic order, and runs the cached table of the tail over the
+    remaining values in increasing order. Up to ``_PERM_TAIL`` nodes the
+    prefix is empty and the one block is the whole enumeration.
     """
-    if n <= _PERM_TAIL:
-        yield _lex_table(n)
-        return
-    tail = _lex_table(_PERM_TAIL)
-    head = n - _PERM_TAIL
+    tail = _lex_table(min(n, _PERM_TAIL))
+    head = n - tail.shape[1]
     for prefix in itertools.permutations(range(n), head):
         rest = np.ones(n, dtype=bool)
         rest[list(prefix)] = False
-        block = np.empty((_PERM_BLOCK, n), dtype=np.int64)
+        block = np.empty((len(tail), n), dtype=np.int64)
         block[:, :head] = prefix
         block[:, head:] = np.flatnonzero(rest)[tail]
         yield block
@@ -307,8 +303,6 @@ def exact_ged(
         raise BudgetExceededError(
             f"padded order {n} exceeds the exact-search budget {node_budget}"
         )
-    if n == 0:
-        return ExactResult(ged=0.0, optimal_mapping=Permutation(()))
     d = build_cost_matrix(pair, cm)
     a = adjacency(pair.g1, n)
     b = adjacency(pair.g2, n)

@@ -47,13 +47,11 @@ def value_and_grad(
     value += mu * float(total(p * d, None))
     value += lam * float(total(p * (1.0 - p), None))
     g = a @ r - r @ b
-    if mu != 0.0:
-        g += mu * d
-    if lam != 0.0:
+    g += mu * d
+    if lam != 0.0:  # skips the work in every solve's first round, run at lam = 0
         g += lam * (1.0 - 2.0 * p)
-    if sigma != 0.0:
-        row = total(p, 1) - 1.0
-        col = total(p, 0) - 1.0
-        value += sigma * float(total(row * row, None) + total(col * col, None))
-        g += (2.0 * sigma) * (row[:, None] + col[None, :])
+    row = total(p, 1) - 1.0
+    col = total(p, 0) - 1.0
+    value += sigma * float(total(row * row, None) + total(col * col, None))
+    g += (2.0 * sigma) * (row[:, None] + col[None, :])
     return value, g

@@ -39,7 +39,7 @@ from .assignment import Permutation, round_to_permutation
 from .costs import CostModel, build_cost_matrix
 from .editpath import EditPath, _score_block, extract_edit_path, lower_bound
 from .errors import DivergenceError
-from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
+from .graphs import LabeledGraph, adjacency, pad_pair
 from .kernel import value_and_grad
 
 logger = logging.getLogger(__name__)
@@ -66,8 +66,8 @@ SIGMA_GROWTH = 10.0
 class SolverConfig:
     """Solver parameters; the defaults are the production setting.
 
-    ``enable_regularizer=False`` keeps the regularizer weight at zero for the
-    whole solve, so every round just rounds the feasibility-penalized relaxed
+    ``lambda_step=0`` keeps the regularizer weight at zero for the whole
+    solve, so every round just rounds the feasibility-penalized relaxed
     solution.
     """
 
@@ -78,17 +78,13 @@ class SolverConfig:
     patience: int = 3
     inner_max_iters: int = 500
     sigma_cap: float = 1e3
-    enable_regularizer: bool = True
 
     def __post_init__(self) -> None:
-        positive = (
-            ("alpha", self.alpha),
-            ("lambda_step", self.lambda_step),
-            ("sigma_cap", self.sigma_cap),
-        )
-        for name, value in positive:
+        for name, value in (("alpha", self.alpha), ("sigma_cap", self.sigma_cap)):
             if not (value > 0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.lambda_step >= 0) or not math.isfinite(self.lambda_step):
+            raise ValueError(f"lambda_step must be >= 0 and finite, got {self.lambda_step}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         counts = (
@@ -189,8 +185,17 @@ class SolveReport:
     lower_bound: float | None = None
 
 
-def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) -> SolveReport:
-    """Estimate the edit distance of a pair.
+def estimate_ged(
+    g1: LabeledGraph,
+    g2: LabeledGraph,
+    cm: CostModel,
+    cfg: SolverConfig | None = None,
+) -> SolveReport:
+    """Estimate the edit distance of two graphs.
+
+    The report's mapping runs over ``max(n1, n2)`` indices; an index past a
+    graph's own order is padding, and mapping to or from it encodes a deletion
+    or an insertion in the edit path.
 
     The alignment starts at the identity with the regularizer off. Every
     round: minimize from the previous round's iterate, round it to a
@@ -203,6 +208,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
     """
     if cfg is None:
         cfg = SolverConfig()
+    pair = pad_pair(g1, g2)
     n = pair.order
     a = adjacency(pair.g1, n)
     b = adjacency(pair.g2, n)
@@ -265,8 +271,7 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         if rounds >= cfg.lambda_max_rounds:
             reason = LAMBDA_ROUNDS_EXHAUSTED
             break
-        if cfg.enable_regularizer:
-            lam += cfg.lambda_step
+        lam += cfg.lambda_step
         sigma = min(sigma * SIGMA_GROWTH, cfg.sigma_cap)
     path = extract_edit_path(pair, best_mapping, cm)
     return SolveReport(
@@ -277,18 +282,3 @@ def solve_pair(pair: GraphPair, cm: CostModel, cfg: SolverConfig | None = None) 
         converged_reason=reason,
         lower_bound=lb,
     )
-
-
-def estimate_ged(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    cm: CostModel,
-    cfg: SolverConfig | None = None,
-) -> SolveReport:
-    """Pair two graphs and solve.
-
-    The report's mapping runs over ``max(n1, n2)`` indices; an index past a
-    graph's own order is padding, and mapping to or from it encodes a deletion
-    or an insertion in the edit path.
-    """
-    return solve_pair(pad_pair(g1, g2), cm, cfg)

@@ -34,18 +34,14 @@ def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return (m + m.T) / 2.0
 
 
-def brute_force_assignment(cost: np.ndarray, sense: str) -> tuple[float, tuple[int, ...]]:
-    """Reference optimum by enumerating all permutations in lexicographic order."""
+def brute_force_assignment(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Reference minimum by enumerating all permutations in lexicographic order."""
     n = cost.shape[0]
     best_total = None
     best_perm: tuple[int, ...] | None = None
     for perm in itertools.permutations(range(n)):
         total = sum(cost[i, perm[i]] for i in range(n))
-        if best_total is None:
-            best_total, best_perm = total, perm
-        elif sense == "min" and total < best_total:
-            best_total, best_perm = total, perm
-        elif sense == "max" and total > best_total:
+        if best_total is None or total < best_total:
             best_total, best_perm = total, perm
     assert best_perm is not None
     return best_total, best_perm

@@ -274,7 +274,7 @@ def test_assignment_optimality():
     for _ in range(200):
         n = int(rng.integers(4, 8))
         cost = rng.random((n, n))
-        perm = solve_assignment(cost, "min")
+        perm = solve_assignment(cost)
         total = sum(cost[i, perm.mapping[i]] for i in range(n))
         best = min(
             sum(cost[i, p[i]] for i in range(n))
@@ -328,7 +328,7 @@ def test_determinism():
 def test_ablation_direction(standard_cases, standard_report):
     """Disabling the regularizer must not improve MAE."""
     cm = builtin_cost_model("case3")
-    no_reg = run_bench(standard_cases, cm, SolverConfig(enable_regularizer=False))
+    no_reg = run_bench(standard_cases, cm, SolverConfig(lambda_step=0.0))
     mae = standard_report.mae
     announce(
         "ablation-direction",

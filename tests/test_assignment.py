@@ -56,16 +56,16 @@ class TestPermutation:
 
 class TestSolveAssignment:
     def test_identity_dominant_maximization(self):
-        perm = solve_assignment(np.array([[0.9, 0.1], [0.2, 0.8]]), "max")
+        perm = solve_assignment(-np.array([[0.9, 0.1], [0.2, 0.8]]))
         assert perm.mapping == (0, 1)
 
     def test_all_equal_breaks_ties_to_identity(self):
-        perm = solve_assignment(np.full((4, 4), 7.0), "min")
+        perm = solve_assignment(np.full((4, 4), 7.0))
         assert perm.mapping == (0, 1, 2, 3)
 
     def test_three_by_three_minimum(self):
         cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-        perm = solve_assignment(cost, "min")
+        perm = solve_assignment(cost)
         assert perm.mapping == (1, 0, 2)
         assert sum(cost[i, perm.mapping[i]] for i in range(3)) == 5.0
 
@@ -73,10 +73,10 @@ class TestSolveAssignment:
         for _ in range(60):
             n = int(rng.integers(1, 8))
             cost = rng.random((n, n))
-            for sense in ("min", "max"):
-                perm = solve_assignment(cost, sense)
-                total = sum(cost[i, perm.mapping[i]] for i in range(n))
-                best, _ = brute_force_assignment(cost, sense)
+            for c in (cost, -cost):  # minimize, then maximize
+                perm = solve_assignment(c)
+                total = sum(c[i, perm.mapping[i]] for i in range(n))
+                best, _ = brute_force_assignment(c)
                 assert total == best
 
     def test_lexicographically_smallest_optimum(self, rng):
@@ -84,13 +84,13 @@ class TestSolveAssignment:
         for _ in range(80):
             n = int(rng.integers(2, 6))
             cost = rng.integers(0, 3, size=(n, n)).astype(float)
-            for sense in ("min", "max"):
-                perm = solve_assignment(cost, sense)
-                best, _ = brute_force_assignment(cost, sense)
+            for c in (cost, -cost):  # minimize, then maximize
+                perm = solve_assignment(c)
+                best, _ = brute_force_assignment(c)
                 optima = [
                     p
                     for p in itertools.permutations(range(n))
-                    if sum(cost[i, p[i]] for i in range(n)) == best
+                    if sum(c[i, p[i]] for i in range(n)) == best
                 ]
                 assert perm.mapping == min(optima)
 
@@ -98,18 +98,18 @@ class TestSolveAssignment:
     def test_greedy_adversarial_lexicographic_minimum(self, family):
         for n in range(1, 8):
             cost = family(n)
-            for sense in ("min", "max"):
-                _, lex_first = brute_force_assignment(cost, sense)
-                assert solve_assignment(cost, sense).mapping == lex_first
+            for c in (cost, -cost):  # minimize, then maximize
+                _, lex_first = brute_force_assignment(c)
+                assert solve_assignment(c).mapping == lex_first
 
     @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
     def test_greedy_adversarial_optimum_at_n60(self, family):
         linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
         cost = family(60)
-        for sense in ("min", "max"):
-            rows, cols = linear_sum_assignment(cost, maximize=sense == "max")
-            mapping = solve_assignment(cost, sense).mapping
-            assert cost[np.arange(60), mapping].sum() == cost[rows, cols].sum()
+        for c in (cost, -cost):  # minimize, then maximize
+            rows, cols = linear_sum_assignment(c)
+            mapping = solve_assignment(c).mapping
+            assert c[np.arange(60), mapping].sum() == c[rows, cols].sum()
 
     def test_duals_feasible_and_matching_tight(self, rng):
         for trial in range(40):
@@ -135,8 +135,8 @@ class TestSolveAssignment:
         # row by a shortest path search, before the greedy start was added
         cost = np.random.default_rng(350).integers(0, 3, size=(350, 350)).astype(np.float64)
         digest = {
-            sense: hashlib.sha256(repr(solve_assignment(cost, sense).mapping).encode()).hexdigest()
-            for sense in ("min", "max")
+            sense: hashlib.sha256(repr(solve_assignment(c).mapping).encode()).hexdigest()
+            for sense, c in (("min", cost), ("max", -cost))
         }
         assert digest == {
             "min": "28fbbf74abf663f3b107966ecc99c98968345d16cdfe41966f650ab5466f6380",
@@ -145,7 +145,7 @@ class TestSolveAssignment:
 
     def test_deterministic(self, rng):
         cost = rng.random((6, 6))
-        runs = {solve_assignment(cost, "min").mapping for _ in range(5)}
+        runs = {solve_assignment(cost).mapping for _ in range(5)}
         assert len(runs) == 1
 
     def test_rejects_bad_inputs(self):
@@ -153,8 +153,6 @@ class TestSolveAssignment:
             solve_assignment(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="non-finite"):
             solve_assignment(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="sense"):
-            solve_assignment(np.zeros((2, 2)), "argmax")
 
     def test_empty_matrix(self):
         assert solve_assignment(np.zeros((0, 0))).mapping == ()
@@ -188,10 +186,10 @@ class TestRoundToPermutation:
         p[1, 2] = 0.8
         p[2, 2] = 0.1
         p[2, 1] = 0.9
-        best, _ = brute_force_assignment(p, "max")
+        best, _ = brute_force_assignment(-p)
         perm = round_to_permutation(p)
         assert perm.mapping == (0, 2, 1, 3)
-        assert sum(p[i, perm.mapping[i]] for i in range(4)) == best
+        assert sum(p[i, perm.mapping[i]] for i in range(4)) == -best
 
     def test_outputs_satisfy_permutation_conditions_exactly(self, rng):
         for _ in range(20):

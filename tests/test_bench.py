@@ -7,6 +7,7 @@ import pytest
 import gedalign.bench as bench_module
 from gedalign import (
     CorpusFormatError,
+    GraphFormatError,
     builtin_cost_model,
     exact_ged,
     generate_pairs,
@@ -231,6 +232,12 @@ class TestCorpusIO:
         (tmp_path / "index.json").write_text('{"cases": [], "seed": 1' + "0" * 5000 + "}")
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
+
+    def test_graph_file_not_utf8(self, tmp_path):
+        write_corpus(small_corpus(seed=21, count=2), tmp_path / "corpus")
+        (tmp_path / "corpus" / "graphs" / "case-0001_b.json").write_bytes(b"\xff{}")
+        with pytest.raises(GraphFormatError, match="parse error"):
+            load_corpus(tmp_path / "corpus")
 
     @pytest.mark.parametrize("key", ["id", "g1", "g2"])
     def test_non_string_entry_field(self, tmp_path, key):

@@ -154,6 +154,10 @@ class TestLoadCostModel:
         with pytest.raises(CostModelError, match="parse error"):
             load_cost_model(b"{broken")
 
+    def test_bytes_not_utf8(self):
+        with pytest.raises(CostModelError, match="parse error"):
+            load_cost_model(b"\xff{}")
+
     @pytest.mark.parametrize(
         "edge_cost", ["1", None, True, [1.0], pytest.param(10**400, id="int-past-float-range")]
     )

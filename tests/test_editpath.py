@@ -1,6 +1,7 @@
 """Edit accounting under a mapping, path extraction/replay, and the oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gedalign import (
     pad_pair,
 )
 from gedalign.editpath import (
-    _PERM_BLOCK,
+    _PERM_TAIL,
     EdgeDelete,
     EdgeInsert,
     NodeDelete,
@@ -280,7 +281,7 @@ class TestExactGed:
     def test_permutation_blocks_are_the_lexicographic_enumeration(self):
         for n in range(10):
             blocks = list(_permutation_blocks(n))
-            assert all(len(block) <= _PERM_BLOCK for block in blocks)
+            assert all(len(block) <= math.factorial(_PERM_TAIL) for block in blocks)
             expected = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
             assert np.array_equal(np.concatenate(blocks), expected)
 

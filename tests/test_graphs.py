@@ -67,6 +67,10 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="parse error"):
             load_graph("{nope")
 
+    def test_bytes_not_utf8_reported(self):
+        with pytest.raises(GraphFormatError, match="parse error"):
+            load_graph(b"\xff{}")
+
     def test_missing_sections_rejected(self):
         with pytest.raises(GraphFormatError, match="'edges'"):
             load_graph('{"nodes":[]}')

@@ -21,7 +21,6 @@ from gedalign import (
     exact_ged,
     ged_under_mapping,
     generate_pairs,
-    solve_pair,
     pad_pair,
 )
 from gedalign.kernel import value_and_grad
@@ -237,7 +236,7 @@ class TestSolvePair:
 
     def test_accepts_padded_pair_directly(self):
         pair = pad_pair(graph("ab", [(0, 1)]), graph("abc", [(0, 1), (1, 2)]))
-        report = solve_pair(pair, builtin_cost_model("case3"))
+        report = estimate_ged(pair.g1, pair.g2, builtin_cost_model("case3"))
         assert report.estimated_ged == ged_under_mapping(
             pair, report.permutation, builtin_cost_model("case3")
         )
@@ -445,14 +444,18 @@ class TestCertifiedStop:
 
 class TestAblationModes:
     def test_regularizer_off_keeps_lambda_at_zero(self):
-        cfg = replace(CFG, enable_regularizer=False)
-        report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"), cfg)
-        assert all(rec.lam == 0.0 for rec in report.trace)
+        # no certificate here, so the solve runs past round 1, where the
+        # default config raises lam to 0.5, 1.0 and 1.5
+        cm = builtin_cost_model("case3")
+        default = estimate_ged(CYCLE6, TWO_TRIANGLES, cm, CFG)
+        assert [rec.lam for rec in default.trace] == [0.0, 0.5, 1.0, 1.5]
+        report = estimate_ged(CYCLE6, TWO_TRIANGLES, cm, replace(CFG, lambda_step=0.0))
+        assert [rec.lam for rec in report.trace] == [0.0] * 4
 
     def test_regularizer_off_equals_rounding_the_relaxed_solution(self):
         # on an easy pair the first rounded candidate is already the report
         g = graph(["1", "2", "3"], [(0, 1)])
-        cfg = replace(CFG, enable_regularizer=False)
+        cfg = replace(CFG, lambda_step=0.0)
         report = estimate_ged(g, g, builtin_cost_model("case3"), cfg)
         assert report.estimated_ged == report.trace[0].candidate_ged == 0.0
 
@@ -471,6 +474,11 @@ class TestSolverConfigValidation:
             SolverConfig(lambda_max_rounds="20")
         with pytest.raises(ValueError, match="lambda_max_rounds"):
             SolverConfig(lambda_max_rounds=0)
+        with pytest.raises(ValueError, match="lambda_step"):
+            SolverConfig(lambda_step=-0.5)
+        with pytest.raises(ValueError, match="lambda_step"):
+            SolverConfig(lambda_step=float("nan"))
+        assert SolverConfig(lambda_step=0.0).lambda_step == 0.0
 
     def test_defaults(self):
         cfg = SolverConfig()
@@ -479,4 +487,3 @@ class TestSolverConfigValidation:
         assert cfg.lambda_step == 0.5
         assert cfg.sigma_cap == 1e3
         assert cfg.inner_max_iters == 500
-        assert cfg.enable_regularizer
