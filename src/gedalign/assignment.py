@@ -11,7 +11,8 @@ smallest mapping is returned. The augmenting search alone does not guarantee
 that, so a second pass refines the solution inside the graph of tight edges
 (zero reduced cost under the optimal duals). By complementary slackness every
 optimal assignment lives in the tight graph of any optimal dual pair, so the
-refined result does not depend on which optimum the search found.
+refined result does not depend on which optimum the search found. The
+solver's Frank–Wolfe directions skip the refine: any optimal vertex will do.
 """
 
 from __future__ import annotations
@@ -54,24 +55,29 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def _augmenting_path_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _augmenting_path_lap(
+    cost: np.ndarray, v: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize a square assignment; returns (row_to_col, row duals, column duals).
 
-    Phase one starts from feasible duals, ``v = cost.min(axis=0)`` and
-    ``u = (cost - v).min(axis=1)``, so every reduced cost ``cost - u - v`` is
-    non-negative and every row has a zero. Each row in index order then takes
-    its lowest-index free column of zero reduced cost, if any. Phase two
-    inserts each row left free, in index order, by a Dijkstra search for a
-    shortest augmenting path over reduced costs; its dual updates keep every
-    reduced cost non-negative and every matched edge at zero. The duals stay
-    feasible and the matching stays tight, so the final assignment is optimal
-    by complementary slackness. Every scan over columns runs in index order
+    Phase one starts from feasible duals: the column duals ``v`` (by default
+    the column minima ``cost.min(axis=0)``) and ``u = (cost - v).min(axis=1)``.
+    Any ``v`` will do, since this ``u`` keeps every reduced cost
+    ``cost - u - v`` non-negative and gives every row a zero; the column
+    duals of a similar matrix leave fewer rows for phase two. Each row in
+    index order then takes its lowest-index free column of zero reduced
+    cost, if any. Phase two inserts each row left free, in index order, by a
+    Dijkstra search for a shortest augmenting path over reduced costs; its
+    dual updates keep every reduced cost non-negative and every matched edge
+    at zero. The duals stay feasible and the matching stays tight, so the
+    final assignment is optimal by complementary slackness. Every scan over columns runs in index order
     with strict-improvement comparisons, so the outcome is deterministic.
     """
     n = cost.shape[0]
-    v = cost.min(axis=0)
+    # initial=inf lets an empty matrix through and changes no other minimum
+    v = cost.min(axis=0, initial=np.inf) if v is None else np.array(v, dtype=np.float64)
     slack = cost - v
-    u = slack.min(axis=1)
+    u = slack.min(axis=1, initial=np.inf)
     col_to_row = np.full(n + 1, -1, dtype=np.int64)  # index n is the virtual start column
     free_rows = []
     for i in range(n):
@@ -195,10 +201,8 @@ def solve_assignment(cost: np.ndarray) -> Permutation:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
     n = cost.shape[0]
-    if n == 0:
-        return Permutation(())
     row_to_col, u, v = _augmenting_path_lap(cost)
-    scale = max(1.0, float(np.abs(cost).max()))
+    scale = float(np.abs(cost).max(initial=1.0))
     tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)

@@ -55,7 +55,6 @@ def _add_cost_option(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, default=_DEFAULTS.mu)
-    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
     parser.add_argument(
         "--lambda-step",
         type=float,
@@ -63,17 +62,10 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
         help="regularizer step per round; 0 keeps the regularizer off (ablation)",
     )
     parser.add_argument("--patience", type=int, default=_DEFAULTS.patience)
-    parser.add_argument("--sigma-cap", type=float, default=_DEFAULTS.sigma_cap)
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        mu=args.mu,
-        alpha=args.alpha,
-        lambda_step=args.lambda_step,
-        patience=args.patience,
-        sigma_cap=args.sigma_cap,
-    )
+    return SolverConfig(mu=args.mu, lambda_step=args.lambda_step, patience=args.patience)
 
 
 def _load_cost(selector: str) -> CostModel:
@@ -112,10 +104,9 @@ def _report_json(pair: GraphPair, report: SolveReport) -> dict:
             {
                 "round": rec.round_index,
                 "lambda": rec.lam,
-                "sigma": rec.sigma,
                 "inner_iterations": rec.inner_iterations,
                 "candidate_ged": rec.candidate_ged,
-                "objective_value": rec.objective_value,  # the penalized value minimized
+                "objective_value": rec.objective_value,  # the relaxed value minimized
             }
             for rec in report.trace
         ],

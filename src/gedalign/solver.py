@@ -1,19 +1,16 @@
 """Outer/inner optimization loop producing a GED upper bound and its mapping.
 
-One solve runs rounds of projected Adam on the penalized relaxed objective.
-Each round ends by rounding the relaxed alignment to a permutation (exact
-assignment on the overlap) and scoring that mapping with the exact edit
-accounting. The regularizer weight grows by a fixed step per round, the
-feasibility penalty by a growth factor up to a cap. The best scored mapping
-over all rounds is reported; by construction it can only overestimate the
-true distance. The trace records, per round, the smallest penalized
-objective value the inner loop saw, at the iterate it rounded. The kernel
-takes plain arrays, all built once per solve from one pair.
-
-The problem keeps its original node coordinates for the whole solve:
-recentering it around each rounding would only permute the rows of the
-iterate and of the gradient, and Adam, restarted every round and updating
-each entry on its own, would then take the same steps to the same roundings.
+One solve runs rounds of Frank–Wolfe on the relaxed objective over the
+doubly stochastic matrices (the Birkhoff polytope), as IPFP for GED (Bougleux
+et al., PRL 2017) and FAQ for graph matching (Vogelstein et al., PLoS ONE
+2015). Each round ends by rounding the relaxed alignment to a permutation
+(exact assignment on the overlap) and scoring that mapping with the exact
+edit accounting. The regularizer weight grows by a fixed step per round. The
+best scored mapping over all rounds is reported; by construction it can only
+overestimate the true distance. The trace records, per round, the relaxed
+objective at the iterate it rounded. The kernel takes plain arrays, all
+built once per solve from one pair, and the problem keeps its original node
+coordinates for the whole solve.
 
 Before the first round the solve computes the certified lower bound of
 :func:`editpath.lower_bound`. When the costs make every sum exact, a round
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Permutation, round_to_permutation
+from .assignment import Permutation, _augmenting_path_lap, round_to_permutation
 from .costs import CostModel, build_cost_matrix
 from .editpath import EditPath, _score_block, extract_edit_path, lower_bound
 from .errors import DivergenceError
@@ -51,15 +48,8 @@ DIVERGENCE_DETECTED = "divergence_detected"
 CERTIFIED_OPTIMAL = "certified_optimal"
 
 
-#: Projected Adam (Kingma & Ba, 2015) moment decays and denominator guard.
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-#: A round's inner loop stops once successive objective values differ by less.
+#: A round's inner loop stops once the Frank–Wolfe gap is at most this.
 INNER_TOL = 1e-7
-#: The feasibility penalty of the first round, and its growth per round.
-SIGMA_INIT = 1.0
-SIGMA_GROWTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -67,22 +57,17 @@ class SolverConfig:
     """Solver parameters; the defaults are the production setting.
 
     ``lambda_step=0`` keeps the regularizer weight at zero for the whole
-    solve, so every round just rounds the feasibility-penalized relaxed
-    solution.
+    solve, so every round just rounds the relaxed solution.
+    ``inner_max_iters`` caps the Frank–Wolfe steps of one round.
     """
 
     mu: float = 1.0
-    alpha: float = 0.001
     lambda_step: float = 0.5
     lambda_max_rounds: int = 20
     patience: int = 3
-    inner_max_iters: int = 500
-    sigma_cap: float = 1e3
+    inner_max_iters: int = 30
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha", self.alpha), ("sigma_cap", self.sigma_cap)):
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (self.lambda_step >= 0) or not math.isfinite(self.lambda_step):
             raise ValueError(f"lambda_step must be >= 0 and finite, got {self.lambda_step}")
         if not math.isfinite(self.mu):
@@ -103,69 +88,61 @@ def inner_minimize(
     d: np.ndarray,
     p0: np.ndarray,
     lam: float,
-    sigma: float,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, float]:
-    """Run projected Adam from ``p0`` until the penalized objective stalls.
+    """Run Frank–Wolfe from the doubly stochastic ``p0``.
 
     ``a`` and ``b`` are the kappa-scaled adjacency matrices; the node-cost
-    weight is ``cfg.mu``. Each step is one bias-corrected Adam update followed
-    by projection onto ``[0, 1]``; the moments start at zero and are updated
-    in place, one ufunc per operation of the textbook update and in its
-    order, so each step has the bits of the out-of-place update. Stops when the
-    change between successive objective values drops below ``INNER_TOL`` or
-    after ``cfg.inner_max_iters`` steps. Returns the best iterate seen (Adam
-    is not monotone, so the last iterate may be worse than the start), the
-    number of steps taken and the penalized objective at that iterate. Raises
+    weight is ``cfg.mu``. Each step takes the permutation ``S`` minimizing
+    ``<g, S>`` for the gradient ``g``, an assignment warm-started from the
+    previous step's column duals, and moves to ``P + gamma (S - P)``. Along
+    that segment the objective is the quadratic
+    ``f(P) + gamma <g, Δ> + gamma^2 (0.5 ||A Δ - Δ B||^2 - lam ||Δ||^2)``
+    with ``Δ = S - P``, so the ``gamma`` in ``[0, 1]`` minimizing it is exact:
+    1 when the curvature is not positive, else the parabola's vertex capped
+    at 1. Every
+    iterate is a convex combination of permutations, hence doubly
+    stochastic. Stops when the Frank–Wolfe gap ``<g, P - S>`` is at most
+    ``INNER_TOL`` or after ``cfg.inner_max_iters`` steps. Returns the last
+    iterate, the number of steps taken and the objective there. Raises
     :class:`DivergenceError` on a non-finite gradient or objective.
     """
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    total = np.add.reduce
     mu = cfg.mu
     p = np.asarray(p0, dtype=np.float64)
-    m = np.zeros(p.shape)
-    v = np.zeros(p.shape)
-    s, t = np.empty(p.shape), np.empty(p.shape)  # scratch
-    prev, g = value_and_grad(a, b, d, p, mu, lam, sigma)
-    if not math.isfinite(prev):
+    rows = np.arange(p.shape[0])
+    value, g = value_and_grad(a, b, d, p, mu, lam)
+    if not math.isfinite(value):
         raise DivergenceError("non-finite objective at the inner start")
-    best_p = p
-    best_value = prev
+    v = None
     steps = 0
-    for step in range(1, cfg.inner_max_iters + 1):
+    while steps < cfg.inner_max_iters:
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
-        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-        np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=s), out=m)
-        np.multiply(np.multiply(g, 1.0 - b2, out=t), g, out=t)
-        np.add(np.multiply(v, b2, out=v), t, out=v)
-        # p = p - alpha * m_hat / (sqrt(v_hat) + eps), a fresh array: best_p
-        # may hold the previous iterate
-        np.multiply(np.divide(m, 1.0 - b1**step, out=s), cfg.alpha, out=s)
-        np.add(np.sqrt(np.divide(v, 1.0 - b2**step, out=t), out=t), ADAM_EPS, out=t)
-        p = p - np.divide(s, t, out=s)
-        # as np.clip, apart from the sign of a -0.0, which no iterate of a solve holds
-        np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)
-        current, g = value_and_grad(a, b, d, p, mu, lam, sigma)
-        steps = step
-        if not math.isfinite(current):
-            raise DivergenceError(f"non-finite objective at inner step {step}")
-        if current < best_value:
-            best_value = current
-            best_p = p
-        if abs(current - prev) < INNER_TOL:
+        cols, _, v = _augmenting_path_lap(g, v)
+        delta = -p
+        delta[rows, cols] += 1.0
+        slope = float(total(g * delta, None))
+        if slope >= -INNER_TOL:
             break
-        prev = current
-    return best_p, steps, best_value
+        q = a @ delta - delta @ b
+        curvature = 0.5 * float(total(q * q, None)) - lam * float(total(delta * delta, None))
+        gamma = 1.0 if curvature <= 0.0 else min(1.0, -slope / (2.0 * curvature))
+        p = p + gamma * delta
+        value, g = value_and_grad(a, b, d, p, mu, lam)
+        steps += 1
+        if not math.isfinite(value):
+            raise DivergenceError(f"non-finite objective at inner step {steps}")
+    return p, steps, value
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Per-round trace entry. ``objective_value`` is the penalized objective
+    """Per-round trace entry. ``objective_value`` is the relaxed objective
     the round minimized, at the iterate it rounded."""
 
     round_index: int
     lam: float
-    sigma: float
     inner_iterations: int
     candidate_ged: float
     objective_value: float
@@ -201,10 +178,9 @@ def estimate_ged(
     round: minimize from the previous round's iterate, round it to a
     permutation, and score that mapping exactly. The problem itself never
     changes during a solve. The regularizer weight increases by
-    ``lambda_step`` per round and the penalty coefficient by ``SIGMA_GROWTH``
-    up to ``sigma_cap``. Stops when the best score meets the certified lower
-    bound, when it has not improved for ``patience`` rounds, at the round cap,
-    or on a non-finite objective.
+    ``lambda_step`` per round. Stops when the best score meets the certified
+    lower bound, when it has not improved for ``patience`` rounds, at the
+    round cap, or on a non-finite objective.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -224,7 +200,6 @@ def estimate_ged(
     b_scaled = kappa * b
     p = np.eye(n, dtype=np.float64)
     lam = 0.0
-    sigma = SIGMA_INIT
     best_ged = math.inf
     best_mapping = Permutation.identity(n)
     stall = 0
@@ -234,7 +209,7 @@ def estimate_ged(
     while True:
         rounds += 1
         try:
-            p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam, sigma, cfg)
+            p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam, cfg)
         except DivergenceError:
             reason = DIVERGENCE_DETECTED
             if not math.isfinite(best_ged):
@@ -246,15 +221,13 @@ def estimate_ged(
             RoundRecord(
                 round_index=rounds,
                 lam=lam,
-                sigma=sigma,
                 inner_iterations=inner_iters,
                 candidate_ged=candidate,
                 objective_value=value,
             )
         )
         logger.debug(
-            "round %d: lam=%.3g sigma=%.3g inner=%d candidate=%.6g",
-            rounds, lam, sigma, inner_iters, candidate,
+            "round %d: lam=%.3g inner=%d candidate=%.6g", rounds, lam, inner_iters, candidate
         )
         if candidate < best_ged:
             best_ged = candidate
@@ -272,7 +245,6 @@ def estimate_ged(
             reason = LAMBDA_ROUNDS_EXHAUSTED
             break
         lam += cfg.lambda_step
-        sigma = min(sigma * SIGMA_GROWTH, cfg.sigma_cap)
     path = extract_edit_path(pair, best_mapping, cm)
     return SolveReport(
         estimated_ged=best_ged,

@@ -130,6 +130,24 @@ class TestSolveAssignment:
                 assert slack.min() >= -1e-12
                 assert np.abs(matched).max() <= 1e-12
 
+    def test_any_column_duals_start_an_optimal_solve(self, rng):
+        # the warm start of the solver's direction search: arbitrary column
+        # duals in place of the column minima still give an optimum
+        for trial in range(60):
+            n = int(rng.integers(1, 8))
+            if trial % 2 == 0:
+                cost = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            else:
+                cost = rng.normal(size=(n, n))
+            v = rng.normal(scale=3.0, size=n)
+            given = v.copy()
+            row_to_col, u, v_out = _augmenting_path_lap(cost, v)
+            assert np.array_equal(v, given)  # the caller's duals are not written
+            assert sorted(row_to_col.tolist()) == list(range(n))
+            total = cost[np.arange(n), row_to_col].sum()
+            assert total == pytest.approx(brute_force_assignment(cost)[0], abs=1e-12)
+            assert (cost - u[:, None] - v_out[None, :]).min() >= -1e-12
+
     def test_pinned_mapping_at_n350(self):
         # hashes recorded from the augmenting-path solver that inserted every
         # row by a shortest path search, before the greedy start was added

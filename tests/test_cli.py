@@ -166,6 +166,20 @@ PADDED_PATHS = {
     ),
 }
 
+# ``estimate`` now maps the padding of "one" the other way round: another
+# optimal path, with the same total of 10.0, which the lower bound certifies
+ESTIMATED_PATHS = {
+    **PADDED_PATHS,
+    ("one", "three"): (
+        '{"ops": [{"cost": 0.0, "from_label": "a", "kind": "node_substitute", "node": 0, '
+        '"target": 0, "to_label": "b"}, {"cost": 3.0, "kind": "node_insert", "label": "b", '
+        '"target": 2}, {"cost": 3.0, "kind": "node_insert", "label": "a", "target": 1}, '
+        '{"cost": 2.0, "kind": "edge_insert", "node_a": 0, "node_b": 2, "target_a": 0, '
+        '"target_b": 1}, {"cost": 2.0, "kind": "edge_insert", "node_a": 1, "node_b": 2, '
+        '"target_a": 1, "target_b": 2}], "total_cost": 10.0}'
+    ),
+}
+
 
 class TestPaddingFlags:
     @pytest.mark.parametrize("command", ["estimate", "exact"])
@@ -187,7 +201,8 @@ class TestPaddingFlags:
         for row in doc["mapping"]:
             assert row["from_dummy"] is (row["from"] >= n1)
             assert row["to_dummy"] is (row["to"] >= n2)
-        assert json.dumps(doc["edit_path"], sort_keys=True) == PADDED_PATHS[(first, second)]
+        golden = ESTIMATED_PATHS if command == "estimate" else PADDED_PATHS
+        assert json.dumps(doc["edit_path"], sort_keys=True) == golden[(first, second)]
 
 
 class TestGenAndBench:
@@ -246,15 +261,18 @@ class TestFlagWiring:
         parser = build_parser()
         args = parser.parse_args(
             ["estimate", "a.json", "b.json",
-             "--mu", "2.0", "--alpha", "0.01", "--lambda-step", "0",
-             "--patience", "5", "--sigma-cap", "100"]
+             "--mu", "2.0", "--lambda-step", "0", "--patience", "5"]
         )
         cfg = _solver_config(args)
         assert cfg.mu == 2.0
-        assert cfg.alpha == 0.01
         assert cfg.lambda_step == 0.0
         assert cfg.patience == 5
-        assert cfg.sigma_cap == 100.0
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--sigma-cap"])
+    def test_optimizer_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["estimate", "a.json", "b.json", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_defaults_match_solver_defaults(self):
         parser = build_parser()

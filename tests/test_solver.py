@@ -1,6 +1,5 @@
-"""Projected Adam steps, the inner loop, the full solve, and its postconditions."""
+"""Frank–Wolfe steps, the inner loop, the full solve, and its postconditions."""
 
-import itertools
 import json
 from dataclasses import replace
 
@@ -32,7 +31,7 @@ from gedalign.solver import (
     PATIENCE_EXHAUSTED,
     inner_minimize,
 )
-from conftest import graph, random_graph
+from conftest import graph, random_graph, shuffled_cases
 
 TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph("xxx", [(0, 1), (1, 2)])
@@ -47,63 +46,89 @@ TWO_TRIANGLES = graph("aaaaaa", [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 CFG = SolverConfig()
 
 
-def _constant_gradient(monkeypatch, grad):
-    """Make the inner loop see ``grad`` at every iterate and a falling
-    objective, so that it takes exactly ``inner_max_iters`` Adam steps."""
-    values = itertools.count(0.0, -1.0)
-    monkeypatch.setattr(
-        solver_module, "value_and_grad", lambda *args: (next(values), grad)
-    )
+def _record(monkeypatch, name):
+    """Wrap ``solver.<name>`` so that every call's arguments and result are
+    appended to the returned list."""
+    real = getattr(solver_module, name)
+    calls = []
+
+    def recording(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(solver_module, name, recording)
+    return calls
 
 
-def _adam_steps(p0, steps):
-    cfg = replace(CFG, alpha=0.01, inner_max_iters=steps)
-    return inner_minimize(None, None, None, p0, 0.0, 0.0, cfg)[0]
+def _random_inner_problems(rng, count):
+    for trial in range(count):
+        cm = builtin_cost_model(("case1", "case2", "case3")[trial % 3])
+        n = int(rng.integers(2, 9))
+        pair = pad_pair(random_graph(rng, n, ("0", "1", "2")), random_graph(rng, n, ("0", "1", "2")))
+        kappa = np.sqrt(cm.edge_cost_squared)
+        a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
+        yield a, b, build_cost_matrix(pair, cm), np.eye(pair.order), (0.0, 0.5, 2.0)[trial % 3]
 
 
-class TestAdamStep:
-    def test_zero_gradient_leaves_interior_point_unchanged(self, monkeypatch):
-        p = np.full((3, 3), 0.4)
-        _constant_gradient(monkeypatch, np.zeros_like(p))
-        assert np.array_equal(_adam_steps(p, 1), p)
-
-    def test_constant_positive_gradient_decreases_entry(self, monkeypatch):
-        p = np.full((2, 2), 0.5)
-        grad = np.zeros((2, 2))
-        grad[0, 1] = 1.0
-        _constant_gradient(monkeypatch, grad)
-        values = [_adam_steps(p, steps) for steps in range(1, 6)]
-        entries = [p[0, 1]] + [q[0, 1] for q in values]
-        assert all(b < a for a, b in zip(entries, entries[1:]))
-        assert values[-1][0, 0] == 0.5  # untouched entry stays put
-
-    def test_clips_to_unit_interval(self, monkeypatch):
-        _constant_gradient(monkeypatch, np.array([[5.0]]))
-        p = _adam_steps(np.array([[0.001]]), 10)
-        assert p[0, 0] == 0.0
-
+class TestFrankWolfe:
     def test_non_finite_gradient_signals_divergence(self, monkeypatch):
-        _constant_gradient(monkeypatch, np.full((2, 2), np.nan))
+        monkeypatch.setattr(
+            solver_module, "value_and_grad", lambda *args: (0.0, np.full((2, 2), np.nan))
+        )
         with pytest.raises(DivergenceError, match="gradient"):
-            _adam_steps(np.zeros((2, 2)), 1)
+            inner_minimize(None, None, None, np.eye(2), 0.0, CFG)
+
+    def test_line_search_beats_every_grid_point(self, monkeypatch, rng):
+        # each step lands where the objective along the segment to the LAP
+        # vertex is no higher than at any of 101 evenly spaced points of it
+        kernel_calls = _record(monkeypatch, "value_and_grad")
+        lap_calls = _record(monkeypatch, "_augmenting_path_lap")
+        grid = np.linspace(0.0, 1.0, 101)
+        steps = 0
+        for a, b, d, p0, lam in _random_inner_problems(rng, 12):
+            kernel_calls.clear()
+            lap_calls.clear()
+            _, iters, _ = inner_minimize(a, b, d, p0, lam, CFG)
+            for k in range(iters):
+                p, value = kernel_calls[k][0][3], kernel_calls[k + 1][1][0]
+                cols = lap_calls[k][1][0]
+                delta = -p
+                delta[np.arange(len(cols)), cols] += 1.0
+                along = [value_and_grad(a, b, d, p + t * delta, CFG.mu, lam)[0] for t in grid]
+                assert value <= min(along) + 1e-12 * max(1.0, abs(value))
+            steps += iters
+        assert steps >= 12
+
+    def test_iterates_stay_doubly_stochastic(self, monkeypatch, rng):
+        kernel_calls = _record(monkeypatch, "value_and_grad")
+        for a, b, d, p0, lam in _random_inner_problems(rng, 12):
+            inner_minimize(a, b, d, p0, lam, CFG)
+        assert len(kernel_calls) > 24
+        for args, _ in kernel_calls:
+            p = args[3]
+            assert p.min() >= 0.0
+            assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12
+            assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestInnerMinimize:
-    def test_returns_after_one_iteration_at_stationary_point(self):
-        # equal matrices, zero costs: the identity is a global optimum
+    def test_takes_no_step_at_stationary_point(self):
+        # equal matrices, zero costs: the identity is a global optimum, its
+        # gradient is zero and so is its Frank–Wolfe gap
         a = adjacency(TRIANGLE, 3)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
-        p, iters, _ = inner_minimize(a, a, d, p0, 0.0, 1.0, CFG)
-        assert iters == 1
+        p, iters, _ = inner_minimize(a, a, d, p0, 0.0, CFG)
+        assert iters == 0
         assert np.array_equal(p, p0)
 
     def test_identical_graphs_keep_identity(self):
         pair = pad_pair(TRIANGLE, TRIANGLE)
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0, 1.0, CFG)
-        assert value_and_grad(a, b, d, p, 1.0, 0.0, 1.0)[0] == 0.0
+        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0, CFG)
+        assert value_and_grad(a, b, d, p, 1.0, 0.0)[0] == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
         # one edge against two isolated nodes: spreading mass lowers the
@@ -114,9 +139,9 @@ class TestInnerMinimize:
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
-        value_at_start = value_and_grad(a, b, d, start, 1.0, 0.0, 100.0)[0]
-        p, _, _ = inner_minimize(a, b, d, start, 0.0, 100.0, CFG)
-        assert value_and_grad(a, b, d, p, 1.0, 0.0, 100.0)[0] < value_at_start
+        value_at_start = value_and_grad(a, b, d, start, 1.0, 0.0)[0]
+        p, _, _ = inner_minimize(a, b, d, start, 0.0, CFG)
+        assert value_and_grad(a, b, d, p, 1.0, 0.0)[0] < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
         for _ in range(10):
@@ -128,11 +153,12 @@ class TestInnerMinimize:
             kappa = np.sqrt(cm.edge_cost_squared)
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
-            p0 = rng.random((pair.order, pair.order))
-            p, _, _ = inner_minimize(a, b, d, p0, 1.0, 10.0, CFG)
+            # a doubly stochastic start: the mean of three permutations
+            p0 = sum(np.eye(pair.order)[rng.permutation(pair.order)] for _ in range(3)) / 3.0
+            p, _, _ = inner_minimize(a, b, d, p0, 1.0, CFG)
             assert (
-                value_and_grad(a, b, d, p, 1.0, 1.0, 10.0)[0]
-                <= value_and_grad(a, b, d, p0, 1.0, 1.0, 10.0)[0] + INNER_TOL
+                value_and_grad(a, b, d, p, 1.0, 1.0)[0]
+                <= value_and_grad(a, b, d, p0, 1.0, 1.0)[0] + INNER_TOL
             )
 
     def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
@@ -143,87 +169,9 @@ class TestInnerMinimize:
             kappa = np.sqrt(cm.edge_cost_squared)
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
-            lam, sigma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 100.0))
-            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam, sigma, CFG)
-            assert value == value_and_grad(a, b, d, p, CFG.mu, lam, sigma)[0]
-
-
-def _reference_value_and_grad(a, b, d, p, mu, lam, sigma):
-    """The kernel as plain ``np.sum`` expressions."""
-    r = a @ p - p @ b
-    value = 0.5 * float(np.sum(r * r))
-    value += mu * float(np.sum(p * d))
-    value += lam * float(np.sum(p * (1.0 - p)))
-    g = a @ r - r @ b
-    if mu != 0.0:
-        g += mu * d
-    if lam != 0.0:
-        g += lam * (1.0 - 2.0 * p)
-    if sigma != 0.0:
-        row = p.sum(axis=1) - 1.0
-        col = p.sum(axis=0) - 1.0
-        value += sigma * float(np.sum(row * row) + np.sum(col * col))
-        g += (2.0 * sigma) * (row[:, None] + col[None, :])
-    return value, g
-
-
-def _reference_inner_minimize(a, b, d, p0, lam, sigma, cfg):
-    """Projected Adam written out of place, one fresh array per expression."""
-    b1, b2 = solver_module.ADAM_BETA1, solver_module.ADAM_BETA2
-    p = np.asarray(p0, dtype=np.float64)
-    m = np.zeros(p.shape)
-    v = np.zeros(p.shape)
-    prev, g = _reference_value_and_grad(a, b, d, p, cfg.mu, lam, sigma)
-    best_p, best_value, steps = p, prev, 0
-    for step in range(1, cfg.inner_max_iters + 1):
-        assert np.all(np.isfinite(g))
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**step)
-        v_hat = v / (1.0 - b2**step)
-        p = p - cfg.alpha * m_hat / (np.sqrt(v_hat) + solver_module.ADAM_EPS)
-        np.clip(p, 0.0, 1.0, out=p)
-        current, g = _reference_value_and_grad(a, b, d, p, cfg.mu, lam, sigma)
-        steps = step
-        if current < best_value:
-            best_value, best_p = current, p
-        if abs(current - prev) < INNER_TOL:
-            break
-        prev = current
-    return best_p, steps, best_value
-
-
-class TestStepBitIdentity:
-    def test_inner_minimize_matches_the_out_of_place_update(self):
-        # same iterate bits, step count and value bits as the textbook update,
-        # on rounds that stop at the cap and rounds that converge
-        rng = np.random.default_rng(20240501)
-        settings = ("case1", "case2", "case3")
-        params = ((0.0, 1.0), (0.5, 10.0), (1.0, 100.0), (2.0, 1e3))
-        capped = converged = 0
-        for trial in range(30):
-            cm = builtin_cost_model(settings[trial % 3])
-            n = 2 + trial % 7
-            g1 = random_graph(rng, n, ("0", "1", "2"))
-            g2 = random_graph(rng, int(rng.integers(max(1, n - 2), n + 1)), ("0", "1", "2"))
-            pair = pad_pair(g1, g2)
-            kappa = np.sqrt(cm.edge_cost_squared)
-            a = kappa * adjacency(pair.g1, pair.order)
-            b = kappa * adjacency(pair.g2, pair.order)
-            d = build_cost_matrix(pair, cm)
-            lam, sigma = params[trial % 4]
-            p0 = rng.random((pair.order, pair.order)) if trial % 4 == 1 else np.eye(pair.order)
-            cfg = replace(CFG, inner_max_iters=(60, 500)[trial % 5 != 0])
-            p, steps, value = inner_minimize(a, b, d, p0, lam, sigma, cfg)
-            ref_p, ref_steps, ref_value = _reference_inner_minimize(a, b, d, p0, lam, sigma, cfg)
-            assert p.tobytes() == ref_p.tobytes()
-            assert steps == ref_steps
-            assert value.hex() == ref_value.hex()
-            if steps == cfg.inner_max_iters:
-                capped += 1
-            else:
-                converged += 1
-        assert capped >= 5 and converged >= 5
+            lam = float(rng.uniform(0.0, 2.0))
+            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam, CFG)
+            assert value == value_and_grad(a, b, d, p, CFG.mu, lam)[0]
 
 
 class TestSolvePair:
@@ -337,18 +285,21 @@ class TestSolvePair:
             return value, g
 
         monkeypatch.setattr(solver_module, "value_and_grad", exploding)
-        report = estimate_ged(TRIANGLE, PATH3, builtin_cost_model("case3"))
+        # this pair's bound (0) is below its distance (4), so no certificate
+        # ends the solve before the fourth kernel call
+        report = estimate_ged(CYCLE6, TWO_TRIANGLES, builtin_cost_model("case3"))
         assert report.converged_reason == DIVERGENCE_DETECTED
         # the fallback mapping still explains the reported value
-        pair = pad_pair(TRIANGLE, PATH3)
+        pair = pad_pair(CYCLE6, TWO_TRIANGLES)
         assert report.estimated_ged == ged_under_mapping(
             pair, report.permutation, builtin_cost_model("case3")
         )
 
     def test_round_objective_is_the_minimized_value(self, monkeypatch, rng):
         # every kernel call of a solve goes through the inner loop: one at
-        # each round's start and one per step, and a round reports the
-        # smallest penalized value it saw
+        # each round's start and one per step, and a round reports the value
+        # at its last iterate, the smallest it saw, since each exact line
+        # search can only lower it
         real_value_and_grad = solver_module.value_and_grad
         values = []
 
@@ -373,7 +324,8 @@ class TestSolvePair:
             assert len(values) == sum(counts)
             start = 0
             for rec, count in zip(report.trace, counts):
-                assert rec.objective_value == min(values[start : start + count])
+                seen = values[start : start + count]
+                assert rec.objective_value == seen[-1] == min(seen)
                 start += count
 
 
@@ -409,6 +361,26 @@ class TestCertifiedStop:
             assert r1.edit_path == r2.edit_path
             if r1.converged_reason == CERTIFIED_OPTIMAL:
                 assert r1.estimated_ged == r1.lower_bound == exact_ged(g1, g2, cm).ged
+
+    def test_certifies_a_shuffled_pair_at_n50(self):
+        # the generator's edits cost exactly the certified bound, so 2.0 is
+        # the true distance; after the shuffle the identity start is far from
+        # the generator's alignment
+        cm = builtin_cost_model("case3")
+        cases = generate_pairs(
+            seed=20240501,
+            count=8,
+            n_range=(50, 50),
+            edit_range=(1, 4),
+            label_alphabet=("0", "1", "2", "3"),
+            cm=cm,
+            edge_prob=0.1,
+            oracle_budget=0,
+        )
+        case = shuffled_cases(cases[:1])[0]
+        report = estimate_ged(case.g1, case.g2, cm)
+        assert report.estimated_ged == report.lower_bound == case.applied_cost == 2.0
+        assert report.converged_reason == CERTIFIED_OPTIMAL
 
     @pytest.mark.parametrize(
         "cm",
@@ -462,8 +434,6 @@ class TestAblationModes:
 
 class TestSolverConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="alpha"):
-            SolverConfig(alpha=0.0)
         with pytest.raises(ValueError, match="patience"):
             SolverConfig(patience=0)
         with pytest.raises(ValueError, match="inner_max_iters"):
@@ -483,7 +453,5 @@ class TestSolverConfigValidation:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.mu == 1.0
-        assert cfg.alpha == 0.001
         assert cfg.lambda_step == 0.5
-        assert cfg.sigma_cap == 1e3
-        assert cfg.inner_max_iters == 500
+        assert cfg.inner_max_iters == 30
