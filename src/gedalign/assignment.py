@@ -9,14 +9,16 @@ costs with many ties the first phase leaves only a few rows free.
 Determinism contract: among all optimal assignments, the lexicographically
 smallest mapping is returned. The augmenting search alone does not guarantee
 that, so a second pass refines the solution inside the graph of tight edges
-(zero reduced cost under the optimal duals). By complementary slackness every
-optimal assignment lives in the tight graph of any optimal dual pair, so the
-refined result does not depend on which optimum the search found. The
-solver's Frank–Wolfe directions skip the refine: any optimal vertex will do.
+(zero reduced cost under the optimal duals), one breadth-first search per row
+in index order. By complementary slackness every optimal assignment lives in
+the tight graph of any optimal dual pair, so the refined result does not
+depend on which optimum the search found. The solver's Frank–Wolfe directions
+skip the refine: any optimal vertex will do.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on ``0..n-1``; ``mapping[i]`` is the image of ``i``."""
+    """Bijection on ``0..n-1``; ``mapping[i]`` is the image of ``i``. Integer
+    entries, numpy's included, are stored as Python ints; floats and bools are
+    refused."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
+        try:
+            mapping = tuple(map(operator.index, self.mapping))
+        except TypeError:
+            mapping = None
+        if mapping is None or bool in map(type, self.mapping):
+            raise ValueError(f"entries must be integers: {self.mapping!r}")
+        n = len(mapping)
+        if sorted(mapping) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {self.mapping!r}")
+        object.__setattr__(self, "mapping", mapping)
 
     @staticmethod
     def identity(n: int) -> Permutation:
@@ -127,66 +138,47 @@ def _augmenting_path_lap(
 def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight-edge graph.
 
-    Starting from a known perfect matching, rows are pinned in index order to
-    their smallest feasible tight column; feasibility of a candidate column is
-    checked by rerouting the displaced row through an alternating path that
-    avoids pinned rows and columns.
+    Rows in index order take their smallest column that a perfect matching
+    keeping the earlier rows in place allows. Row ``i``'s candidates are its
+    tight columns left of its current one ``c`` that later rows hold. One
+    breadth-first search back from ``c`` over the later rows finds the holders
+    that can give theirs up (Tassa 2012): a row joins when it can take, on a
+    tight edge, the column of a row already reached, which becomes its parent.
+    Row ``i`` takes the smallest reached candidate by a rotation along the
+    parent chain.
     """
     n = tight.shape[0]
     col_of = row_to_col.copy()
     row_of = np.empty(n, dtype=np.int64)
     row_of[col_of] = np.arange(n)
-    pinned_col = np.zeros(n, dtype=bool)
-
-    def reroute(row: int, visited: np.ndarray) -> bool:
-        # Depth-first search for an alternating path from ``row`` to a free
-        # column, with an explicit stack so that its depth is not bounded by
-        # the recursion limit. Each row scans its tight, unpinned columns in
-        # index order and skips those visited by then; on success every row
-        # on the stack takes the column it went through.
-        unpinned = ~pinned_col
-        rows = [row]
-        cols: list[int] = []
-        scans = [iter(np.flatnonzero(tight[row] & unpinned).tolist())]
-        while scans:
-            j = next((c for c in scans[-1] if not visited[c]), -1)
-            if j == -1:
-                scans.pop()
-                rows.pop()
-                if cols:
-                    cols.pop()
-                continue
-            visited[j] = True
-            cols.append(j)
-            nxt = int(row_of[j])
-            if nxt == -1:
-                for r, c in zip(rows, cols):
-                    col_of[r] = c
-                    row_of[c] = r
-                return True
-            rows.append(nxt)
-            scans.append(iter(np.flatnonzero(tight[nxt] & unpinned).tolist()))
-        return False
-
+    leftmost = tight.argmax(axis=1).tolist() if n else []
+    parent = np.empty(n, dtype=np.int64)
     for i in range(n):
         current = int(col_of[i])
-        for j in range(current):
-            if not tight[i, j] or pinned_col[j]:
-                continue
-            displaced = int(row_of[j])
-            col_of[i] = j
-            row_of[j] = i
-            row_of[current] = -1
-            visited = np.zeros(n, dtype=bool)
-            visited[j] = True
-            if reroute(displaced, visited):
+        if leftmost[i] == current:
+            continue
+        candidates = np.flatnonzero(tight[i, :current] & (row_of[:current] > i))
+        if not candidates.size:
+            continue
+        first_holder = int(row_of[candidates[0]])
+        reached = np.arange(n) <= i  # earlier rows are pinned; row i is the root
+        queue = [i]
+        for row in queue:
+            joins = np.flatnonzero(tight[:, col_of[row]] & ~reached)
+            reached[joins] = True
+            parent[joins] = row
+            queue.extend(joins.tolist())
+            if reached[first_holder]:
                 break
-            # a failed reroute writes nothing, so undoing the three writes
-            # above restores the matching
-            col_of[i] = current
-            row_of[j] = displaced
-            row_of[current] = i
-        pinned_col[int(col_of[i])] = True
+        taken = candidates[reached[row_of[candidates]]]
+        if not taken.size:
+            continue
+        chain = [int(row_of[taken[0]])]
+        while chain[-1] != i:
+            chain.append(int(parent[chain[-1]]))
+        # each row on the chain takes its parent's column; row i takes the candidate
+        col_of[chain] = col_of[chain[1:] + chain[:1]]
+        row_of[col_of[chain]] = chain
     return col_of
 
 
@@ -206,7 +198,7 @@ def solve_assignment(cost: np.ndarray) -> Permutation:
     tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)
-    return Permutation(tuple(int(j) for j in refined))
+    return Permutation(tuple(refined.tolist()))
 
 
 def round_to_permutation(p: np.ndarray) -> Permutation:

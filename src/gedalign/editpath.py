@@ -315,5 +315,5 @@ def exact_ged(
             best_total = float(totals[k])
             best_perm = perms[k].copy()
     assert best_perm is not None
-    mapping = Permutation(tuple(int(j) for j in best_perm))
+    mapping = Permutation(tuple(best_perm.tolist()))
     return ExactResult(ged=best_total, optimal_mapping=mapping)

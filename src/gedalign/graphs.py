@@ -38,6 +38,9 @@ class LabeledGraph:
 
     def __post_init__(self) -> None:
         n = len(self.labels)
+        for pos, label in enumerate(self.labels):
+            if not isinstance(label, str):
+                raise GraphFormatError(f"labels[{pos}]: {label!r} is not a string")
         seen: set[tuple[int, int]] = set()
         prev = None
         for edge in self.edges:

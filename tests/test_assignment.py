@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestPermutation:
         perm = Permutation((2, 0, 1))
         assert perm.inverse().mapping == (1, 2, 0)
         assert all(perm.inverse().mapping[perm.mapping[i]] == i for i in range(3))
+
+    def test_rejects_float_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation((1.0, 0.0))
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation((True, False))
+
+    def test_stores_numpy_integers_as_python_ints(self):
+        perm = Permutation(tuple(np.array([1, 0, 2])))
+        assert perm.mapping == (1, 0, 2)
+        assert all(type(j) is int for j in perm.mapping)
+        assert json.dumps(perm.mapping) == "[1, 0, 2]"
 
 
 class TestSolveAssignment:
@@ -185,6 +200,32 @@ class TestSolveAssignment:
         tight[idx, idx] = True
         tight[idx, (idx + 1) % n] = True
         assert np.array_equal(_lexicographic_refine(tight, (idx + 1) % n), idx)
+
+
+def _lexicographic_first_matching(tight: np.ndarray) -> tuple[int, ...]:
+    """First perfect matching of ``tight`` in lexicographic order, by enumeration."""
+    n = tight.shape[0]
+    return next(p for p in itertools.permutations(range(n)) if all(tight[np.arange(n), p]))
+
+
+class TestLexicographicRefine:
+    def test_matches_enumeration_from_arbitrary_matchings(self, rng):
+        # any tight graph with any perfect matching in it, not only the tight
+        # graphs and matchings that the augmenting-path solver leaves
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            start = rng.permutation(n)
+            tight = rng.random((n, n)) < rng.uniform(0.1, 0.8)
+            tight[np.arange(n), start] = True
+            refined = _lexicographic_refine(tight, start)
+            assert tuple(refined.tolist()) == _lexicographic_first_matching(tight)
+
+    def test_smallest_candidate_whose_holder_cannot_give_it_up(self):
+        # row 0 would take column 0 first, but row 1 has no other tight column,
+        # so row 0 takes column 1 and row 2 moves to column 2
+        tight = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 1]], dtype=bool)
+        refined = _lexicographic_refine(tight, np.array([2, 0, 1]))
+        assert refined.tolist() == [1, 0, 2]
 
 
 class TestRoundToPermutation:

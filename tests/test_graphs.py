@@ -166,3 +166,12 @@ class TestMakeGraph:
     def test_direct_constructor_validates(self):
         with pytest.raises(GraphFormatError, match="ordered"):
             LabeledGraph(labels=("a", "b"), edges=((1, 0),))
+
+    def test_direct_constructor_rejects_non_string_label(self):
+        with pytest.raises(GraphFormatError, match="labels\\[1\\]"):
+            LabeledGraph(labels=("a", 2), edges=())
+
+    def test_rejects_non_string_label(self):
+        # such a graph would save to a document that load_graph refuses
+        with pytest.raises(GraphFormatError, match="labels\\[0\\]: 1 is not a string"):
+            make_graph([1, 2], [(0, 1)])
