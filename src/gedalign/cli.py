@@ -33,8 +33,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
-_DEFAULTS = SolverConfig()
-
 
 def _configure_logging() -> None:
     level_name = os.environ.get("GED_LOG", "off").lower()
@@ -54,18 +52,16 @@ def _add_cost_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mu", type=float, default=_DEFAULTS.mu)
     parser.add_argument(
         "--lambda-step",
         type=float,
-        default=_DEFAULTS.lambda_step,
+        default=SolverConfig.lambda_step,
         help="regularizer step per round; 0 keeps the regularizer off (ablation)",
     )
-    parser.add_argument("--patience", type=int, default=_DEFAULTS.patience)
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(mu=args.mu, lambda_step=args.lambda_step, patience=args.patience)
+    return SolverConfig(lambda_step=args.lambda_step)
 
 
 def _load_cost(selector: str) -> CostModel:

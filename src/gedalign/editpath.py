@@ -174,7 +174,7 @@ def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float
     k2 = float(k2)
     exact = (
         k2.is_integer()
-        and bool(np.all(np.floor(d) == d))
+        and bool(np.all((np.floor(d) == d) & (d < 2.0**53)))  # so d.sum() cannot overflow
         and d.sum() + k2 * n * n < 2.0**53
     )
     if not exact:

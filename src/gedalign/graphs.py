@@ -17,6 +17,7 @@ saved graph is byte-stable and usable as a golden file.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -30,7 +31,8 @@ class LabeledGraph:
     """Immutable node-labeled simple undirected graph.
 
     ``labels[i]`` is the label of node ``i``; node ids are the contiguous range
-    ``0..order-1``. ``edges`` holds ``(i, j)`` pairs with ``i < j``, sorted.
+    ``0..order-1``. ``edges`` holds ``(i, j)`` pairs of ``int`` with ``i < j``,
+    sorted; :func:`make_graph` converts other integer types.
     """
 
     labels: tuple[str, ...]
@@ -41,21 +43,21 @@ class LabeledGraph:
         for pos, label in enumerate(self.labels):
             if not isinstance(label, str):
                 raise GraphFormatError(f"labels[{pos}]: {label!r} is not a string")
-        seen: set[tuple[int, int]] = set()
-        prev = None
+        prev = (-1, -1)
         for edge in self.edges:
             i, j = edge
+            if type(i) is not int or type(j) is not int:  # bool is refused too
+                raise GraphFormatError(f"edge {edge!r}: endpoints must be ints")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge {edge!r}: endpoint out of range 0..{n - 1}")
             if i == j:
                 raise GraphFormatError(f"edge {edge!r}: self-loop")
             if i > j:
                 raise GraphFormatError(f"edge {edge!r}: endpoints must be ordered")
-            if edge in seen:
-                raise GraphFormatError(f"edge {edge!r}: duplicate")
-            if prev is not None and edge < prev:
-                raise GraphFormatError("edges are not sorted")
-            seen.add(edge)
+            if edge <= prev:  # sorted edges are strictly increasing
+                raise GraphFormatError(
+                    f"edge {edge!r}: duplicate" if edge == prev else "edges are not sorted"
+                )
             prev = edge
 
     @property
@@ -67,16 +69,23 @@ def make_graph(labels: Sequence[str], edges: Iterable[Sequence[int]]) -> Labeled
     """Build a graph from unnormalized parts, rejecting invariant violations.
 
     Edge pairs may come in either orientation; they are normalized to
-    ``first < second`` and sorted. Duplicates (in any orientation) and
-    self-loops are errors.
+    ``first < second`` and sorted. Duplicates (in any orientation),
+    self-loops and endpoints that are not integers (floats, strings, bools)
+    are errors; numpy integers are stored as ``int``.
     """
     normalized: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     n = len(labels)
     for pos, edge in enumerate(edges):
-        if len(edge) != 2:
-            raise GraphFormatError(f"edges[{pos}]: expected a pair, got {list(edge)!r}")
-        i, j = int(edge[0]), int(edge[1])
+        try:  # floats and strings have no __index__; bools do, so they are tested
+            first, second = edge
+            i, j = operator.index(first), operator.index(second)
+        except (TypeError, ValueError):
+            i = j = None
+        if i is None or type(first) is bool or type(second) is bool:
+            raise GraphFormatError(
+                f"edges[{pos}]: expected a pair of integer node ids, got {edge!r}"
+            )
         if i == j:
             raise GraphFormatError(f"edges[{pos}]: self-loop on node {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -158,11 +167,7 @@ def load_graph(source: bytes | str | IO) -> LabeledGraph:
             raise GraphFormatError(f"nodes[{pos}]: 'label' must be a string")
         labels.append(node["label"])
     for pos, edge in enumerate(doc["edges"]):
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or not all(isinstance(e, int) and not isinstance(e, bool) for e in edge)
-        ):
+        if not isinstance(edge, list):  # make_graph checks the rest
             raise GraphFormatError(f"edges[{pos}]: expected a pair of integer node ids")
     return make_graph(labels, doc["edges"])
 

@@ -4,12 +4,14 @@ One function of plain float64 arrays: a pair of kappa-scaled symmetric
 adjacency matrices ``(A, B)``, a node-cost matrix ``D`` and a relaxed
 alignment ``P``, all of one square shape. The relaxed objective is::
 
-    f(P) = 0.5 * ||A P - P B||_F^2  +  mu * tr(P^T D)  +  lam * tr(P^T (J - P))
+    f(P) = 0.5 * ||A P - P B||_F^2  +  tr(P^T D)  +  lam * tr(P^T (J - P))
 
-where ``J`` is the all-ones matrix. The last term is the permutation-inducing
-regularizer: it vanishes exactly on permutation matrices and is positive on
-every other doubly stochastic matrix. The optimizer keeps ``P`` doubly
-stochastic, so the objective carries no feasibility term.
+where ``J`` is the all-ones matrix. The node costs enter as the plain linear
+term, so at a permutation the objective is the edit cost of that mapping. The
+last term is the permutation-inducing regularizer: it vanishes exactly on
+permutation matrices and is positive on every other doubly stochastic matrix.
+The optimizer keeps ``P`` doubly stochastic, so the objective carries no
+feasibility term.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ def value_and_grad(
     b: np.ndarray,
     d: np.ndarray,
     p: np.ndarray,
-    mu: float,
     lam: float,
 ) -> tuple[float, np.ndarray]:
     """Relaxed objective and its analytic gradient with respect to ``P``.
 
     Using symmetry of the scaled matrices, with ``R = A P - P B``::
 
-        grad = A R - R B + mu * D + lam * (J - 2 P)
+        grad = A R - R B + D + lam * (J - 2 P)
 
     ``R`` is formed once and serves both. Shapes are not checked: the caller
     builds all four matrices from one pair. The sums call ``np.add.reduce``,
@@ -38,10 +39,10 @@ def value_and_grad(
     total = np.add.reduce
     r = a @ p - p @ b
     value = 0.5 * float(total(r * r, None))
-    value += mu * float(total(p * d, None))
+    value += float(total(p * d, None))
     value += lam * float(total(p * (1.0 - p), None))
     g = a @ r - r @ b
-    g += mu * d
+    g += d
     if lam != 0.0:  # skips the work in every solve's first round, run at lam = 0
         g += lam * (1.0 - 2.0 * p)
     return value, g

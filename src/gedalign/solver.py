@@ -29,6 +29,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,66 +58,57 @@ class SolverConfig:
     """Solver parameters; the defaults are the production setting.
 
     ``lambda_step=0`` keeps the regularizer weight at zero for the whole
-    solve, so every round just rounds the relaxed solution.
-    ``inner_max_iters`` caps the Frank–Wolfe steps of one round.
+    solve, so every round just rounds the relaxed solution (the ablation).
+    ``patience`` and ``inner_max_iters`` are class constants, not fields.
     """
 
-    mu: float = 1.0
     lambda_step: float = 0.5
     lambda_max_rounds: int = 20
-    patience: int = 3
-    inner_max_iters: int = 30
+    patience: ClassVar[int] = 3  # rounds without improvement before the solve stops
+    inner_max_iters: ClassVar[int] = 30  # Frank–Wolfe steps per round
 
     def __post_init__(self) -> None:
         if not (self.lambda_step >= 0) or not math.isfinite(self.lambda_step):
             raise ValueError(f"lambda_step must be >= 0 and finite, got {self.lambda_step}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        counts = (
-            ("patience", self.patience),
-            ("lambda_max_rounds", self.lambda_max_rounds),
-            ("inner_max_iters", self.inner_max_iters),
-        )
-        for name, value in counts:
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        rounds = self.lambda_max_rounds
+        if not isinstance(rounds, numbers.Integral) or rounds < 1:
+            raise ValueError(f"lambda_max_rounds must be an integer >= 1, got {rounds!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner_minimize(
     a: np.ndarray,
     b: np.ndarray,
     d: np.ndarray,
     p0: np.ndarray,
     lam: float,
-    cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, float]:
     """Run Frank–Wolfe from the doubly stochastic ``p0``.
 
-    ``a`` and ``b`` are the kappa-scaled adjacency matrices; the node-cost
-    weight is ``cfg.mu``. Each step takes the permutation ``S`` minimizing
-    ``<g, S>`` for the gradient ``g``, an assignment warm-started from the
-    previous step's column duals, and moves to ``P + gamma (S - P)``. Along
-    that segment the objective is the quadratic
-    ``f(P) + gamma <g, Δ> + gamma^2 (0.5 ||A Δ - Δ B||^2 - lam ||Δ||^2)``
+    ``a`` and ``b`` are the kappa-scaled adjacency matrices, ``d`` the
+    node-cost matrix and ``lam`` the regularizer weight. Each step takes the
+    permutation ``S`` minimizing ``<g, S>`` for the gradient ``g``, an
+    assignment warm-started from the previous step's column duals, and moves
+    to ``P + gamma (S - P)``. Along that segment the objective is the
+    quadratic ``f(P) + gamma <g, Δ> + gamma^2 (0.5 ||A Δ - Δ B||^2 - lam ||Δ||^2)``
     with ``Δ = S - P``, so the ``gamma`` in ``[0, 1]`` minimizing it is exact:
     1 when the curvature is not positive, else the parabola's vertex capped
-    at 1. Every
-    iterate is a convex combination of permutations, hence doubly
+    at 1. Every iterate is a convex combination of permutations, hence doubly
     stochastic. Stops when the Frank–Wolfe gap ``<g, P - S>`` is at most
-    ``INNER_TOL`` or after ``cfg.inner_max_iters`` steps. Returns the last
-    iterate, the number of steps taken and the objective there. Raises
-    :class:`DivergenceError` on a non-finite gradient or objective.
+    ``INNER_TOL`` or after ``SolverConfig.inner_max_iters`` steps. Returns the
+    last iterate, the number of steps taken and the objective there. Raises
+    :class:`DivergenceError` on a non-finite gradient or objective, so
+    numpy's overflow and invalid-value warnings are silenced.
     """
     total = np.add.reduce
-    mu = cfg.mu
     p = np.asarray(p0, dtype=np.float64)
     rows = np.arange(p.shape[0])
-    value, g = value_and_grad(a, b, d, p, mu, lam)
+    value, g = value_and_grad(a, b, d, p, lam)
     if not math.isfinite(value):
         raise DivergenceError("non-finite objective at the inner start")
     v = None
     steps = 0
-    while steps < cfg.inner_max_iters:
+    while steps < SolverConfig.inner_max_iters:
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
         cols, _, v = _augmenting_path_lap(g, v)
@@ -129,7 +121,7 @@ def inner_minimize(
         curvature = 0.5 * float(total(q * q, None)) - lam * float(total(delta * delta, None))
         gamma = 1.0 if curvature <= 0.0 else min(1.0, -slope / (2.0 * curvature))
         p = p + gamma * delta
-        value, g = value_and_grad(a, b, d, p, mu, lam)
+        value, g = value_and_grad(a, b, d, p, lam)
         steps += 1
         if not math.isfinite(value):
             raise DivergenceError(f"non-finite objective at inner step {steps}")
@@ -209,7 +201,7 @@ def estimate_ged(
     while True:
         rounds += 1
         try:
-            p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam, cfg)
+            p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam)
         except DivergenceError:
             reason = DIVERGENCE_DETECTED
             if not math.isfinite(best_ged):

@@ -43,7 +43,7 @@ def shuffled_cases(cases, seed: int = 7):
 def regularizer(p: np.ndarray) -> float:
     """``tr(P^T (J - P))``, read off the kernel with every other term zeroed."""
     z = np.zeros_like(p)
-    return value_and_grad(z, z, z, p, 0.0, 1.0)[0]
+    return value_and_grad(z, z, z, p, 1.0)[0]
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_objective_equals_edit_accounting_at_permutations():
             kappa = np.sqrt(cm.edge_cost_squared)
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
-            value = value_and_grad(a, b, d, p, 1.0, 0.0)[0]
+            value = value_and_grad(a, b, d, p, 0.0)[0]
             gap = abs(value - ged_under_mapping(pair, perm, cm))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -205,8 +205,9 @@ def test_gradient_correctness():
         a, b = kappa * a, kappa * b
         d = rng.random((n, n)) * 3.0
         p = rng.random((n, n))
-        weights = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 2.0)))
-        _, analytic = value_and_grad(a, b, d, p, *weights)
+        mu, lam = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 2.0))
+        d = mu * d
+        _, analytic = value_and_grad(a, b, d, p, lam)
         for i in range(n):
             for j in range(n):
                 plus = p.copy()
@@ -214,8 +215,8 @@ def test_gradient_correctness():
                 minus = p.copy()
                 minus[i, j] -= h
                 fd = (
-                    value_and_grad(a, b, d, plus, *weights)[0]
-                    - value_and_grad(a, b, d, minus, *weights)[0]
+                    value_and_grad(a, b, d, plus, lam)[0]
+                    - value_and_grad(a, b, d, minus, lam)[0]
                 ) / (2.0 * h)
                 rel = abs(analytic[i, j] - fd) / max(1.0, abs(analytic[i, j]), abs(fd))
                 worst = max(worst, rel)
@@ -264,10 +265,11 @@ def test_relabel_equivalence_suite():
         d = rng.random((n, n))
         p = rng.random((n, n))
         h = random_permutation(rng, n)
-        weights = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 1.5)))
+        mu, lam = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 1.5))
+        d = mu * d
         inv = np.array(h.inverse().mapping)
-        value, grad = value_and_grad(a, b, d, p, *weights)
-        value2, grad2 = value_and_grad(a[np.ix_(inv, inv)], b, d[inv, :], p[inv, :], *weights)
+        value, grad = value_and_grad(a, b, d, p, lam)
+        value2, grad2 = value_and_grad(a[np.ix_(inv, inv)], b, d[inv, :], p[inv, :], lam)
         worst = max(worst, abs(value - value2))
         worst_grad = max(worst_grad, float(np.max(np.abs(grad2 - grad[inv, :]))))
     announce(

@@ -337,6 +337,8 @@ class TestLowerBound:
         # d.sum() + k2 * n**2 reaches 2**53, then stays just below it
         assert lower_bound(np.full((2, 2), 2.0**51), a, b, 1.0) is None
         assert lower_bound(np.full((2, 2), 2.0**50), a, b, 1.0) == 2.0**51
+        # a node cost past 2**53: refused before the sum can overflow
+        assert lower_bound(np.full((2, 2), 1e308), a, b, 1.0) is None
         empty = np.zeros((0, 0))
         assert lower_bound(empty, empty, empty, 1.0) == 0.0
 
@@ -360,7 +362,7 @@ class TestObjectiveEquivalence:
 
     def test_objective_at_permutation_equals_accounting(self, rng):
         # the relaxed objective evaluated at any permutation matrix must agree
-        # with the exact edit accounting (mu=1, no regularizer)
+        # with the exact edit accounting (no regularizer)
         settings = ["case1", "case2", "case3"]
         for trial in range(30):
             cm = builtin_cost_model(settings[trial % 3])
@@ -371,6 +373,6 @@ class TestObjectiveEquivalence:
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             perm = Permutation(tuple(int(x) for x in rng.permutation(pair.order)))
-            lhs = value_and_grad(a, b, d, perm.matrix(), 1.0, 0.0)[0]
+            lhs = value_and_grad(a, b, d, perm.matrix(), 0.0)[0]
             rhs = ged_under_mapping(pair, perm, cm)
             assert abs(lhs - rhs) <= 1e-9

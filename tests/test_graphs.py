@@ -17,6 +17,11 @@ from gedalign import (
 from conftest import graph, random_graph
 
 
+def _two_nodes(edges) -> str:
+    nodes = [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}]
+    return json.dumps({"nodes": nodes, "edges": edges})
+
+
 class TestLoadGraph:
     def test_minimal_graph(self):
         g = load_graph('{"nodes":[{"id":0,"label":"a"}],"edges":[]}')
@@ -70,6 +75,31 @@ class TestLoadGraph:
     def test_bytes_not_utf8_reported(self):
         with pytest.raises(GraphFormatError, match="parse error"):
             load_graph(b"\xff{}")
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ("[]", "must be a JSON object"),
+            ('{"nodes":{},"edges":[]}', "'nodes' must be an array"),
+            ('{"nodes":[],"edges":{}}', "'edges' must be an array"),
+            ('{"nodes":["a"],"edges":[]}', "nodes\\[0\\]: expected an object"),
+            ('{"nodes":[{"id":"0","label":"a"}],"edges":[]}', "nodes\\[0\\]: 'id' must be"),
+            ('{"nodes":[{"id":0.0,"label":"a"}],"edges":[]}', "nodes\\[0\\]: 'id' must be"),
+            ('{"nodes":[{"id":0,"label":1}],"edges":[]}', "nodes\\[0\\]: 'label' must be"),
+            (_two_nodes([[0]]), "edges\\[0\\]: expected a pair of integer node ids"),
+            (_two_nodes([[0, 1.0]]), "edges\\[0\\]: expected a pair of integer node ids"),
+            (_two_nodes([[0, True]]), "edges\\[0\\]: expected a pair of integer node ids"),
+            (_two_nodes(["01"]), "edges\\[0\\]: expected a pair of integer node ids"),
+        ],
+        ids=[
+            "not_object", "nodes_not_array", "edges_not_array", "node_not_object",
+            "id_string", "id_float", "label_not_string",
+            "edge_single", "edge_float", "edge_bool", "edge_not_array",
+        ],
+    )
+    def test_malformed_document_rejected(self, doc, match):
+        with pytest.raises(GraphFormatError, match=match):
+            load_graph(doc)
 
     def test_missing_sections_rejected(self):
         with pytest.raises(GraphFormatError, match="'edges'"):
@@ -158,14 +188,43 @@ class TestAdjacency:
 class TestMakeGraph:
     def test_normalizes_edge_orientation(self):
         assert make_graph(["a", "b"], [(1, 0)]).edges == ((0, 1),)
+        # numpy integers are stored as Python ints
+        g = make_graph(["a", "b"], [(np.int64(1), np.int64(0))])
+        assert g.edges == ((0, 1),) and {type(e) for e in g.edges[0]} == {int}
 
     def test_rejects_duplicate_in_either_orientation(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
             make_graph(["a", "b"], [(0, 1), (1, 0)])
 
-    def test_direct_constructor_validates(self):
-        with pytest.raises(GraphFormatError, match="ordered"):
-            LabeledGraph(labels=("a", "b"), edges=((1, 0),))
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            (((1, 0),), "ordered"),
+            (((0, 3),), "out of range"),
+            (((1, 1),), "self-loop"),
+            (((0, 1), (0, 1)), "duplicate"),
+            (((1, 2), (0, 1)), "not sorted"),
+            (((0.0, 1.0),), "must be ints"),
+            (((np.int64(0), np.int64(1)),), "must be ints"),
+            (((False, True),), "must be ints"),
+        ],
+        ids=[
+            "ordered", "out_of_range", "self_loop", "duplicate", "unsorted",
+            "float", "numpy_int", "bool",
+        ],
+    )
+    def test_direct_constructor_validates(self, edges, match):
+        with pytest.raises(GraphFormatError, match=match):
+            LabeledGraph(labels=("a", "b", "c"), edges=edges)
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 1.7), ("0", "1"), (True, 0)], ids=["float", "str", "bool"]
+    )
+    def test_rejects_non_integer_endpoints(self, edge):
+        # accepted, each would become another edge or one that save_graph
+        # writes and load_graph refuses
+        with pytest.raises(GraphFormatError, match="edges\\[0\\]: expected a pair of integer"):
+            make_graph(["a", "b"], [edge])
 
     def test_direct_constructor_rejects_non_string_label(self):
         with pytest.raises(GraphFormatError, match="labels\\[1\\]"):

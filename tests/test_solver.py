@@ -1,7 +1,7 @@
 """Frank–Wolfe steps, the inner loop, the full solve, and its postconditions."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,7 +77,7 @@ class TestFrankWolfe:
             solver_module, "value_and_grad", lambda *args: (0.0, np.full((2, 2), np.nan))
         )
         with pytest.raises(DivergenceError, match="gradient"):
-            inner_minimize(None, None, None, np.eye(2), 0.0, CFG)
+            inner_minimize(None, None, None, np.eye(2), 0.0)
 
     def test_line_search_beats_every_grid_point(self, monkeypatch, rng):
         # each step lands where the objective along the segment to the LAP
@@ -89,13 +89,13 @@ class TestFrankWolfe:
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
             kernel_calls.clear()
             lap_calls.clear()
-            _, iters, _ = inner_minimize(a, b, d, p0, lam, CFG)
+            _, iters, _ = inner_minimize(a, b, d, p0, lam)
             for k in range(iters):
                 p, value = kernel_calls[k][0][3], kernel_calls[k + 1][1][0]
                 cols = lap_calls[k][1][0]
                 delta = -p
                 delta[np.arange(len(cols)), cols] += 1.0
-                along = [value_and_grad(a, b, d, p + t * delta, CFG.mu, lam)[0] for t in grid]
+                along = [value_and_grad(a, b, d, p + t * delta, lam)[0] for t in grid]
                 assert value <= min(along) + 1e-12 * max(1.0, abs(value))
             steps += iters
         assert steps >= 12
@@ -103,7 +103,7 @@ class TestFrankWolfe:
     def test_iterates_stay_doubly_stochastic(self, monkeypatch, rng):
         kernel_calls = _record(monkeypatch, "value_and_grad")
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
-            inner_minimize(a, b, d, p0, lam, CFG)
+            inner_minimize(a, b, d, p0, lam)
         assert len(kernel_calls) > 24
         for args, _ in kernel_calls:
             p = args[3]
@@ -119,7 +119,7 @@ class TestInnerMinimize:
         a = adjacency(TRIANGLE, 3)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
-        p, iters, _ = inner_minimize(a, a, d, p0, 0.0, CFG)
+        p, iters, _ = inner_minimize(a, a, d, p0, 0.0)
         assert iters == 0
         assert np.array_equal(p, p0)
 
@@ -127,8 +127,8 @@ class TestInnerMinimize:
         pair = pad_pair(TRIANGLE, TRIANGLE)
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0, CFG)
-        assert value_and_grad(a, b, d, p, 1.0, 0.0)[0] == 0.0
+        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
+        assert value_and_grad(a, b, d, p, 0.0)[0] == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
         # one edge against two isolated nodes: spreading mass lowers the
@@ -139,9 +139,9 @@ class TestInnerMinimize:
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
-        value_at_start = value_and_grad(a, b, d, start, 1.0, 0.0)[0]
-        p, _, _ = inner_minimize(a, b, d, start, 0.0, CFG)
-        assert value_and_grad(a, b, d, p, 1.0, 0.0)[0] < value_at_start
+        value_at_start = value_and_grad(a, b, d, start, 0.0)[0]
+        p, _, _ = inner_minimize(a, b, d, start, 0.0)
+        assert value_and_grad(a, b, d, p, 0.0)[0] < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
         for _ in range(10):
@@ -155,10 +155,10 @@ class TestInnerMinimize:
             d = build_cost_matrix(pair, cm)
             # a doubly stochastic start: the mean of three permutations
             p0 = sum(np.eye(pair.order)[rng.permutation(pair.order)] for _ in range(3)) / 3.0
-            p, _, _ = inner_minimize(a, b, d, p0, 1.0, CFG)
+            p, _, _ = inner_minimize(a, b, d, p0, 1.0)
             assert (
-                value_and_grad(a, b, d, p, 1.0, 1.0)[0]
-                <= value_and_grad(a, b, d, p0, 1.0, 1.0)[0] + INNER_TOL
+                value_and_grad(a, b, d, p, 1.0)[0]
+                <= value_and_grad(a, b, d, p0, 1.0)[0] + INNER_TOL
             )
 
     def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
@@ -170,8 +170,8 @@ class TestInnerMinimize:
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             lam = float(rng.uniform(0.0, 2.0))
-            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam, CFG)
-            assert value == value_and_grad(a, b, d, p, CFG.mu, lam)[0]
+            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam)
+            assert value == value_and_grad(a, b, d, p, lam)[0]
 
 
 class TestSolvePair:
@@ -237,7 +237,7 @@ class TestSolvePair:
         assert first == second
 
     def test_lambda_round_cap(self):
-        cfg = replace(CFG, lambda_max_rounds=2, patience=5)
+        cfg = replace(CFG, lambda_max_rounds=2)
         report = estimate_ged(CYCLE6, TWO_TRIANGLES, builtin_cost_model("case3"), cfg)
         assert len(report.trace) == 2
         assert report.converged_reason == LAMBDA_ROUNDS_EXHAUSTED
@@ -294,6 +294,35 @@ class TestSolvePair:
         assert report.estimated_ged == ged_under_mapping(
             pair, report.permutation, builtin_cost_model("case3")
         )
+
+    @pytest.mark.parametrize(
+        "g1, g2, k2, where",
+        [
+            # the Frobenius term overflows at the identity start
+            (graph("ab", [(0, 1)]), graph("a"), 1.7e308, "the inner start"),
+            # finite at the start, the objective overflows after one step
+            (
+                graph("aaba", [(1, 3)]),
+                graph("abbb", [(0, 1), (1, 3), (2, 3)]),
+                4e307,
+                "inner step 1",
+            ),
+        ],
+        ids=["at_start", "at_step"],
+    )
+    def test_overflow_is_reported_as_divergence(self, g1, g2, k2, where):
+        # real pairs, no monkeypatching: numpy's overflow warnings stay inside
+        # the inner loop, whose checks turn them into a divergence
+        cm = CostModel(edge_cost_squared=k2, insert_default=1, delete_default=1)
+        pair = pad_pair(g1, g2)
+        kappa = np.sqrt(k2)
+        a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
+        with pytest.raises(DivergenceError, match=f"non-finite objective at {where}"):
+            inner_minimize(a, b, build_cost_matrix(pair, cm), np.eye(pair.order), 0.0)
+        report = estimate_ged(g1, g2, cm)
+        assert report.converged_reason == DIVERGENCE_DETECTED
+        assert report.estimated_ged == ged_under_mapping(pair, report.permutation, cm)
+        assert report.estimated_ged == exact_ged(g1, g2, cm).ged
 
     def test_round_objective_is_the_minimized_value(self, monkeypatch, rng):
         # every kernel call of a solve goes through the inner loop: one at
@@ -414,6 +443,15 @@ class TestCertifiedStop:
             assert report.converged_reason != CERTIFIED_OPTIMAL
 
 
+    def test_node_costs_past_2_53_leave_no_warning(self):
+        # the exactness guard refuses such costs before it sums them
+        g1, g2 = graph("ab", [(0, 1)]), graph("a")
+        cm = CostModel(edge_cost_squared=1, insert_default=1e308, delete_default=1e308)
+        report = estimate_ged(g1, g2, cm)
+        assert report.lower_bound is None
+        assert report.estimated_ged == exact_ged(g1, g2, cm).ged == 1e308
+
+
 class TestAblationModes:
     def test_regularizer_off_keeps_lambda_at_zero(self):
         # no certificate here, so the solve runs past round 1, where the
@@ -434,11 +472,14 @@ class TestAblationModes:
 
 class TestSolverConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="patience"):
+        # the node-cost weight is gone and the two counts are class constants
+        with pytest.raises(TypeError, match="mu"):
+            SolverConfig(mu=1.0)
+        with pytest.raises(TypeError, match="patience"):
             SolverConfig(patience=0)
-        with pytest.raises(ValueError, match="inner_max_iters"):
+        with pytest.raises(TypeError, match="inner_max_iters"):
             SolverConfig(inner_max_iters=2.5)
-        with pytest.raises(ValueError, match="patience"):
+        with pytest.raises(TypeError, match="patience"):
             SolverConfig(patience=3.0)
         with pytest.raises(ValueError, match="lambda_max_rounds"):
             SolverConfig(lambda_max_rounds="20")
@@ -452,6 +493,8 @@ class TestSolverConfigValidation:
 
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.mu == 1.0
+        assert [f.name for f in fields(SolverConfig)] == ["lambda_step", "lambda_max_rounds"]
         assert cfg.lambda_step == 0.5
+        assert cfg.lambda_max_rounds == 20
+        assert cfg.patience == 3
         assert cfg.inner_max_iters == 30
