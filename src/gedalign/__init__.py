@@ -30,7 +30,6 @@ from .errors import (
     BudgetExceededError,
     CorpusFormatError,
     CostModelError,
-    DivergenceError,
     GedError,
     GraphFormatError,
 )

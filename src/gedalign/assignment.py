@@ -18,6 +18,7 @@ skip the refine: any optimal vertex will do.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -186,15 +187,21 @@ def solve_assignment(cost: np.ndarray) -> Permutation:
     """Minimum-cost assignment for a square cost matrix; to maximize, pass the
     negated matrix. Among optimal assignments the lexicographically smallest
     mapping wins.
+
+    Phase one's duals are at most ``s = max |cost|`` (``v``) and ``2 s``
+    (``u``); each of at most ``n`` insertions moves them by its path length,
+    at most ``4 s`` (the reduced cost of an edge to a column no search has
+    lowered). So every reduced cost stays within ``12 n s``, and a matrix for
+    which that is not finite is refused.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix contains non-finite entries")
     n = cost.shape[0]
-    row_to_col, u, v = _augmenting_path_lap(cost)
     scale = float(np.abs(cost).max(initial=1.0))
+    if not math.isfinite(12 * n * scale):  # NaN and inf fail too
+        raise ValueError("cost matrix has non-finite entries or entries too large to solve")
+    row_to_col, u, v = _augmenting_path_lap(cost)
     tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)

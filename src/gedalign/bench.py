@@ -16,7 +16,7 @@ aggregate JSON (``mae``, ``si``, ``pairs``, ``failures``, ``total_ms``).
 from __future__ import annotations
 
 import json
-import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -415,15 +415,13 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
                 return None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CorpusFormatError(f"cases[{pos}]: {key!r} must be a number or null")
-            try:
-                number = float(value)
-            except OverflowError:  # an integer past float range
-                number = math.inf
-            if not (math.isfinite(number) and number >= 0):
+            # int-float comparisons are exact, so this also refuses NaN,
+            # infinities and integers past float range
+            if not 0 <= value <= sys.float_info.max:
                 raise CorpusFormatError(
-                    f"cases[{pos}]: {key!r} must be finite and non-negative, got {number}"
+                    f"cases[{pos}]: {key!r} must be finite and non-negative, got {value!r}"
                 )
-            return number
+            return float(value)
 
         applied_edits = entry.get("applied_edits")
         if applied_edits is not None and (

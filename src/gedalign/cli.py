@@ -210,8 +210,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_SOLVER
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    json_path = prefix.with_name(prefix.name + ".json")
     csv_path.write_text(report_to_csv(report), encoding="utf-8")
     json_path.write_text(report_to_aggregate_json(report), encoding="utf-8")
     summary = {

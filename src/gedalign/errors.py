@@ -17,9 +17,5 @@ class BudgetExceededError(GedError):
     """The exact oracle was asked for more nodes than its search budget allows."""
 
 
-class DivergenceError(GedError):
-    """The inner optimization produced a non-finite gradient or objective."""
-
-
 class CorpusFormatError(GedError):
     """A benchmark corpus directory does not have the expected layout."""

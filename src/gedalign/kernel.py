@@ -11,7 +11,8 @@ term, so at a permutation the objective is the edit cost of that mapping. The
 last term is the permutation-inducing regularizer: it vanishes exactly on
 permutation matrices and is positive on every other doubly stochastic matrix.
 The optimizer keeps ``P`` doubly stochastic, so the objective carries no
-feasibility term.
+feasibility term. Costs at most ``costs.MAX_COST`` keep value and gradient
+finite (bounds in the ``costs`` module docstring); nothing here checks.
 """
 
 from __future__ import annotations

@@ -186,6 +186,9 @@ class TestSolveAssignment:
             solve_assignment(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="non-finite"):
             solve_assignment(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # finite entries, but the duals' bound is not: cost - v would overflow
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_assignment(np.array([[1e308, -1e308], [-1e308, 1e308]]))
 
     def test_empty_matrix(self):
         assert solve_assignment(np.zeros((0, 0))).mapping == ()

@@ -222,6 +222,17 @@ class TestGenAndBench:
         agg = json.loads((tmp_path / "report.json").read_text())
         assert agg["pairs"] == 10 and agg["failures"] == 0
 
+    def test_dotted_prefix_keeps_its_name(self, tmp_path, capsys):
+        # with_suffix would write "out/run.csv" for both "out/run.v1" and "out/run.v2"
+        corpus = tmp_path / "corpus"
+        main(["gen", "--seed", "3", "--count", "2", "--n-min", "3", "--n-max", "4", "--out", str(corpus)])
+        for prefix in ("run.v1", "run.v2"):
+            code = main(["bench", str(corpus), "--cost", "case3", "--out", str(tmp_path / "out" / prefix)])
+            assert code == EXIT_OK
+        capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["run.v1.csv", "run.v1.json", "run.v2.csv", "run.v2.json"]
+
     def test_gen_is_reproducible(self, tmp_path, capsys):
         args = ["gen", "--seed", "9", "--count", "4", "--n-min", "3", "--n-max", "4", "--out"]
         assert main(args + [str(tmp_path / "one")]) == EXIT_OK

@@ -4,6 +4,7 @@ The examples are derandomized, so every run checks the same pairs.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -11,6 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gedalign import (  # noqa: E402
+    CostModel,
+    SolverConfig,
     adjacency,
     build_cost_matrix,
     builtin_cost_model,
@@ -20,6 +23,7 @@ from gedalign import (  # noqa: E402
     make_graph,
     pad_pair,
 )
+from gedalign.costs import MAX_COST  # noqa: E402
 from gedalign.editpath import lower_bound  # noqa: E402
 
 #: integer labels, so that case2's nearest-label substitution applies
@@ -63,3 +67,41 @@ def test_lower_bound_never_exceeds_truth(g1, g2, setting):
     a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
     d = build_cost_matrix(pair, cm)
     assert lower_bound(d, a, b, cm.edge_cost_squared) <= exact_ged(g1, g2, cm).ged
+
+
+#: the smallest, a unit and the largest accepted cost
+COSTS = st.sampled_from((0.0, 1.0, MAX_COST))
+
+
+@st.composite
+def extreme_cost_models(draw):
+    def table():
+        return {label: draw(COSTS) for label in LABELS}
+
+    substitute = {(l1, l2): draw(COSTS) for l1, l2 in itertools.permutations(LABELS, 2)}
+    return CostModel(
+        edge_cost_squared=draw(st.sampled_from((1.0, MAX_COST))),  # 0 is refused
+        insert_default=draw(COSTS),
+        delete_default=draw(COSTS),
+        substitute_default=draw(COSTS),
+        insert_costs=table(),
+        delete_costs=table(),
+        substitute_costs=substitute,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    g1=graphs(max_order=7),
+    g2=graphs(max_order=7),
+    cm=extreme_cost_models(),
+    lambda_step=st.sampled_from((0.0, 0.5, MAX_COST)),
+)
+def test_costs_at_the_ceiling_stay_finite(g1, g2, cm, lambda_step):
+    # every cost at 0, 1 or the ceiling, the regularizer step up to the
+    # ceiling: no overflow warning (an error in this suite) and a finite
+    # upper bound that its own edit path explains
+    report = estimate_ged(g1, g2, cm, SolverConfig(lambda_step=lambda_step))
+    assert math.isfinite(report.estimated_ged)
+    assert report.estimated_ged >= exact_ged(g1, g2, cm).ged
+    assert report.estimated_ged == report.edit_path.total_cost
