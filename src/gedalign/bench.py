@@ -16,6 +16,7 @@ aggregate JSON (``mae``, ``si``, ``pairs``, ``failures``, ``total_ms``).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -284,9 +285,11 @@ def run_bench(
     """Estimate every pair and aggregate the error metrics.
 
     Pairs are independent; with ``workers > 1`` they are solved in separate
-    processes. Per-pair results do not depend on the worker count or on
-    completion order: rows are keyed and sorted by case id. Failed pairs keep
-    their row (with the error message) but are excluded from the aggregates.
+    processes, started by spawn rather than fork, since forking a process
+    whose BLAS threads have started is unsafe. Per-pair results do not depend
+    on the worker count or on completion order: rows are keyed and sorted by
+    case id. Failed pairs keep their row (with the error message) but are
+    excluded from the aggregates.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -295,7 +298,8 @@ def run_bench(
     if workers <= 1 or len(cases) <= 1:
         rows = [_solve_case(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             rows = list(pool.map(_solve_case, jobs))
     rows.sort(key=lambda row: row.case_id)
     total_ms = (time.perf_counter() - start) * 1000.0

@@ -200,6 +200,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cm = _load_cost(args.cost)
         cases = load_corpus(args.corpus)
         cfg = _solver_config(args)
+        # open the outputs before the run: failing to write them afterwards would lose it
+        prefix = Path(args.out)
+        csv_path = prefix.with_name(prefix.name + ".csv")  # ValueError on an empty name
+        json_path = prefix.with_name(prefix.name + ".json")
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        for path in (csv_path, json_path):
+            path.open("a").close()
     except (OSError, GedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -208,10 +215,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except GedError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    json_path = prefix.with_name(prefix.name + ".json")
     csv_path.write_text(report_to_csv(report), encoding="utf-8")
     json_path.write_text(report_to_aggregate_json(report), encoding="utf-8")
     summary = {

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gedalign import Permutation, round_to_permutation, solve_assignment
-from gedalign.assignment import _augmenting_path_lap, _lexicographic_refine
+import gedalign.assignment as assignment_module
+from gedalign.assignment import SCALAR_MAX_ORDER, _augmenting_path_lap, _lexicographic_refine
 from conftest import brute_force_assignment, regularizer
 
 
@@ -203,6 +204,58 @@ class TestSolveAssignment:
         tight[idx, idx] = True
         tight[idx, (idx + 1) % n] = True
         assert np.array_equal(_lexicographic_refine(tight, (idx + 1) % n), idx)
+
+
+def _both_paths(monkeypatch, cost, v):
+    """``_augmenting_path_lap`` forced onto the list path, then onto the array
+    path, each as (row_to_col, u bytes, v bytes); checks that neither writes
+    the caller's ``v``."""
+    results = []
+    for limit in (cost.shape[0], -1):
+        monkeypatch.setattr(assignment_module, "SCALAR_MAX_ORDER", limit)
+        given = None if v is None else v.copy()
+        row_to_col, u, v_out = _augmenting_path_lap(cost, given)
+        assert v is None or given.tobytes() == v.tobytes()
+        results.append((row_to_col.tolist(), u.tobytes(), v_out.tobytes()))
+    return results
+
+
+# every order up to 16, then a few up to and past the path border
+CROSS_CHECK_ORDERS = [*range(17), 32, 64, SCALAR_MAX_ORDER, SCALAR_MAX_ORDER + 3]
+
+
+class TestListPath:
+    """The list path for small orders against the array path, the reference."""
+
+    def test_matches_the_array_path_bit_for_bit(self, monkeypatch, rng):
+        for n in CROSS_CHECK_ORDERS:
+            ties = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            for cost in (ties, -ties, rng.normal(size=(n, n))):
+                for v in (None, rng.normal(scale=3.0, size=n)):
+                    lists, arrays = _both_paths(monkeypatch, cost, v)
+                    assert lists == arrays
+
+    @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
+    def test_greedy_adversarial_bit_for_bit(self, monkeypatch, rng, family):
+        for n in CROSS_CHECK_ORDERS[1:]:  # the families start at order 1
+            cost = family(n)
+            for c in (cost, -cost):
+                for v in (None, rng.normal(scale=3.0, size=n)):
+                    lists, arrays = _both_paths(monkeypatch, c, v)
+                    assert lists == arrays
+
+    def test_order_alone_picks_the_path(self, monkeypatch):
+        taken = []
+        for name in ("_phases_on_lists", "_phases_on_arrays"):
+            real = getattr(assignment_module, name)
+            monkeypatch.setattr(
+                assignment_module,
+                name,
+                lambda *args, real=real, name=name: taken.append(name) or real(*args),
+            )
+        for n in (0, 1, SCALAR_MAX_ORDER, SCALAR_MAX_ORDER + 1):
+            _augmenting_path_lap(np.zeros((n, n)))
+        assert taken == ["_phases_on_lists"] * 3 + ["_phases_on_arrays"]
 
 
 def _lexicographic_first_matching(tight: np.ndarray) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gedalign.bench as bench_module
 from gedalign import load_graph, make_graph, save_graph
 from gedalign.cli import (
     EXIT_BUDGET,
@@ -243,6 +244,21 @@ class TestGenAndBench:
         assert [p.name for p in one] == [p.name for p in two]
         for a, b in zip(one, two):
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("out", [".", "", "taken.csv/report", "report"])
+    def test_bad_output_prefix_fails_before_any_pair_is_solved(self, tmp_path, monkeypatch, capsys, out):
+        corpus = tmp_path / "corpus"
+        main(["gen", "--seed", "3", "--count", "2", "--n-min", "3", "--n-max", "4", "--out", str(corpus)])
+        (tmp_path / "taken.csv").write_text("")  # a file where a directory is needed
+        (tmp_path / "report.json").mkdir()  # a directory where a file is needed
+        monkeypatch.chdir(tmp_path)
+        solved = []
+        monkeypatch.setattr(bench_module, "estimate_ged", lambda *args: solved.append(args))
+        capsys.readouterr()
+        code = main(["bench", str(corpus), "--cost", "case3", "--out", out])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert solved == []
 
     def test_bench_invalid_corpus(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path), "--cost", "case3"])

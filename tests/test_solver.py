@@ -1,5 +1,6 @@
 """Frank–Wolfe steps, the inner loop, the full solve, and its postconditions."""
 
+import hashlib
 import json
 from dataclasses import fields, replace
 
@@ -228,6 +229,33 @@ class TestSolvePair:
         first = estimate_ged(g1, g2, cm)
         second = estimate_ged(g1, g2, cm)
         assert first == second
+
+    def test_pinned_outputs_over_generated_pairs(self):
+        # digest recorded before the LAP's list path for small orders; any
+        # speedup must leave every estimate, mapping and round bit-identical
+        digest = hashlib.sha256()
+        for k, setting in enumerate(("case1", "case2", "case3")):
+            cm = builtin_cost_model(setting)
+            cases = generate_pairs(
+                seed=1500 + k, count=14, n_range=(3, 9), edit_range=(1, 5),
+                label_alphabet=("0", "1"), cm=cm, edge_prob=0.4, max_order=9, oracle_budget=0,
+            )
+            for case in cases:
+                report = estimate_ged(case.g1, case.g2, cm)
+                rounds = [
+                    (rec.candidate_ged, rec.inner_iterations, rec.objective_value.hex())
+                    for rec in report.trace
+                ]
+                outputs = (
+                    report.estimated_ged.hex(),
+                    report.permutation.mapping,
+                    report.converged_reason,
+                    rounds,
+                )
+                digest.update(repr(outputs).encode())
+        assert digest.hexdigest() == (
+            "44c42aa2dea217020ddfe89752538755c3dbc6b6bbbc1dc1d448fefbbb4f2158"
+        )
 
     def test_lambda_round_cap(self, monkeypatch):
         monkeypatch.setattr(SolverConfig, "lambda_max_rounds", 2)
