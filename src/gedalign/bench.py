@@ -9,8 +9,10 @@ Corpus directory layout::
       graphs/<id>_b.json    # second graph of each case
 
 Report artifacts: a CSV with one row per pair
-(``id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,wall_ms``) and an
-aggregate JSON (``mae``, ``si``, ``pairs``, ``failures``, ``total_ms``).
+(``id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms``)
+and an aggregate JSON (``mae``, ``si``, ``certified_share``, ``pairs``,
+``failures``, ``total_ms``). ``inner_steps`` is the solve's Frank–Wolfe step
+count over all rounds, ``certified`` whether it ended ``certified_optimal``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .costs import CostModel
 from .editpath import DEFAULT_NODE_BUDGET, exact_ged, ged_under_mapping
 from .errors import CorpusFormatError, GedError
 from .graphs import LabeledGraph, load_graph, make_graph, pad_pair, save_graph
-from .solver import SolverConfig, estimate_ged
+from .solver import CERTIFIED_OPTIMAL, SolverConfig, estimate_ged
 
 #: SI counts a pair as solved exactly when |estimate - truth| is at most this.
 EXACT_MATCH_TOL = 1e-9
@@ -62,6 +64,8 @@ class BenchRow:
     abs_err: float | None
     exact_match: bool | None
     rounds: int
+    inner_steps: int
+    certified: bool | None
     wall_ms: float
     error: str | None = None
 
@@ -71,6 +75,7 @@ class BenchReport:
     rows: tuple[BenchRow, ...]
     mae: float | None
     si: float | None
+    certified_share: float | None  # over the pairs solved without error
     failures: int
     total_ms: float
 
@@ -252,11 +257,13 @@ def generate_pairs(
 def _solve_case(args: tuple[PairCase, CostModel, SolverConfig]) -> BenchRow:
     case, cm, cfg = args
     start = time.perf_counter()
-    estimate = abs_err = exact = error = None
-    rounds = 0
+    estimate = abs_err = exact = certified = error = None
+    rounds = inner_steps = 0
     try:
         report = estimate_ged(case.g1, case.g2, cm, cfg)
         estimate, rounds = report.estimated_ged, len(report.trace)
+        inner_steps = sum(rec.inner_iterations for rec in report.trace)
+        certified = report.converged_reason == CERTIFIED_OPTIMAL
         if case.true_ged is not None:
             abs_err = abs(estimate - case.true_ged)
             exact = abs_err <= EXACT_MATCH_TOL
@@ -271,6 +278,8 @@ def _solve_case(args: tuple[PairCase, CostModel, SolverConfig]) -> BenchRow:
         abs_err=abs_err,
         exact_match=exact,
         rounds=rounds,
+        inner_steps=inner_steps,
+        certified=certified,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         error=error,
     )
@@ -303,15 +312,23 @@ def run_bench(
             rows = list(pool.map(_solve_case, jobs))
     rows.sort(key=lambda row: row.case_id)
     total_ms = (time.perf_counter() - start) * 1000.0
-    scored = [r for r in rows if r.error is None and r.true_ged is not None]
-    failures = sum(1 for r in rows if r.error is not None)
+    solved = [r for r in rows if r.error is None]
+    scored = [r for r in solved if r.true_ged is not None]
     mae = None
     si = None
+    certified_share = None
     if scored:
         mae = sum(r.abs_err for r in scored) / len(scored)
         si = sum(1 for r in scored if r.exact_match) / len(scored)
+    if solved:
+        certified_share = sum(1 for r in solved if r.certified) / len(solved)
     return BenchReport(
-        rows=tuple(rows), mae=mae, si=si, failures=failures, total_ms=total_ms
+        rows=tuple(rows),
+        mae=mae,
+        si=si,
+        certified_share=certified_share,
+        failures=len(rows) - len(solved),
+        total_ms=total_ms,
     )
 
 
@@ -326,7 +343,9 @@ def _cell(value: object) -> str:
 
 
 def report_to_csv(report: BenchReport) -> str:
-    lines = ["id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,wall_ms"]
+    lines = [
+        "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms"
+    ]
     for r in report.rows:
         lines.append(
             ",".join(
@@ -339,6 +358,8 @@ def report_to_csv(report: BenchReport) -> str:
                     _cell(r.abs_err),
                     _cell(r.exact_match),
                     str(r.rounds),
+                    str(r.inner_steps),
+                    _cell(r.certified),
                     f"{r.wall_ms:.3f}",
                 )
             )
@@ -350,6 +371,7 @@ def report_to_aggregate_json(report: BenchReport) -> str:
     doc = {
         "mae": report.mae,
         "si": report.si,
+        "certified_share": report.certified_share,
         "pairs": len(report.rows),
         "failures": report.failures,
         "total_ms": report.total_ms,

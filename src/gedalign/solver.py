@@ -13,12 +13,15 @@ built once per solve from one pair, and the problem keeps its original node
 coordinates for the whole solve.
 
 Before the first round the solve computes the certified lower bound of
-:func:`editpath.lower_bound`. When the costs make every sum exact, a round
-whose best mapping costs no more than the bound has found the optimum, and
-the solve stops there with ``converged_reason="certified_optimal"``. The
-incumbent only changes on strict improvement and no mapping scores below the
-bound, so this stop changes no estimate, mapping or edit path; only the trace
-gets shorter.
+:func:`editpath.lower_bound`. When the costs make every sum exact, a mapping
+that costs no more than the bound is optimal, and the solve stops with
+``converged_reason="certified_optimal"`` as soon as it has one: at a round's
+end, or inside a round, where the iterate is rounded and scored after each
+step count in :data:`CHECK_STEPS`. A check that does not certify changes
+nothing, so a solve that never certifies inside a round is the solve without
+checks, bit for bit. A solve that does returns the bound, the true distance;
+its estimate is never above the one without checks, and its mapping may be a
+different optimal one.
 
 Every cost and ``lambda_step`` is at most :data:`costs.MAX_COST`, so every
 objective, gradient, step and score of a solve is finite (the ``costs``
@@ -32,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -52,6 +55,11 @@ CERTIFIED_OPTIMAL = "certified_optimal"
 
 #: A round's inner loop stops once the Frank–Wolfe gap is at most this.
 INNER_TOL = 1e-7
+
+#: With a certified lower bound, a round rounds and scores its iterate after
+#: each of these step counts, and ends the solve when the mapping meets the
+#: bound. Each check costs about one step.
+CHECK_STEPS = (4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,8 @@ def inner_minimize(
     d: np.ndarray,
     p0: np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, int, float]:
+    certify: Callable[[np.ndarray], tuple[Permutation, float] | None] | None = None,
+) -> tuple[np.ndarray, int, float, tuple[Permutation, float] | None]:
     """Run Frank–Wolfe from the doubly stochastic ``p0``.
 
     ``a`` and ``b`` are the kappa-scaled adjacency matrices, ``d`` the
@@ -93,8 +102,13 @@ def inner_minimize(
     1 when the curvature is not positive, else the parabola's vertex capped
     at 1. Every iterate is a convex combination of permutations, hence doubly
     stochastic. Stops when the Frank–Wolfe gap ``<g, P - S>`` is at most
-    ``INNER_TOL`` or after ``SolverConfig.inner_max_iters`` steps. Returns the
-    last iterate, the number of steps taken and the objective there.
+    ``INNER_TOL`` or after ``SolverConfig.inner_max_iters`` steps.
+
+    With ``certify``, the iterate after each step count in ``CHECK_STEPS`` is
+    passed to it; it returns a scored mapping that meets the lower bound, or
+    ``None`` and changes nothing. On a mapping the loop stops at once. Returns
+    the last iterate, the number of steps taken, the objective there and the
+    certified mapping with its cost, or ``None``.
     """
     total = np.add.reduce
     p = np.asarray(p0, dtype=np.float64)
@@ -115,13 +129,18 @@ def inner_minimize(
         p = p + gamma * delta
         value, g = value_and_grad(a, b, d, p, lam)
         steps += 1
-    return p, steps, value
+        if certify is not None and steps in CHECK_STEPS:
+            certified = certify(p)
+            if certified is not None:
+                return p, steps, value, certified
+    return p, steps, value, None
 
 
 @dataclass(frozen=True)
 class RoundRecord:
     """Per-round trace entry. ``objective_value`` is the relaxed objective
-    the round minimized, at the iterate it rounded."""
+    the round minimized, at the iterate it rounded; in a round ended by a
+    check inside it, ``inner_iterations`` counts the steps up to the check."""
 
     round_index: int
     lam: float
@@ -160,9 +179,9 @@ def estimate_ged(
     round: minimize from the previous round's iterate, round it to a
     permutation, and score that mapping exactly. The problem itself never
     changes during a solve. The regularizer weight increases by
-    ``lambda_step`` per round. Stops when the best score meets the certified
-    lower bound, when it has not improved for ``patience`` rounds, or at the
-    round cap.
+    ``lambda_step`` per round. Stops when a score meets the certified lower
+    bound, at a round's end or at one of its ``CHECK_STEPS``, when the best
+    score has not improved for ``patience`` rounds, or at the round cap.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -176,6 +195,16 @@ def estimate_ged(
     kappa = math.sqrt(cm.edge_cost_squared)
     a_scaled = kappa * a
     b_scaled = kappa * b
+
+    def score(p: np.ndarray) -> tuple[Permutation, float]:
+        mapping = round_to_permutation(p)
+        perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
+        return mapping, float(_score_block(d, a, b, perms, cm.edge_cost_squared)[0])
+
+    def certify(p: np.ndarray) -> tuple[Permutation, float] | None:
+        mapping, cost = score(p)
+        return (mapping, cost) if cost <= lb else None
+
     p = np.eye(n, dtype=np.float64)
     lam = 0.0
     best_ged = math.inf  # round 1's candidate is finite, so it sets best_mapping
@@ -184,10 +213,10 @@ def estimate_ged(
     rounds = 0
     while True:
         rounds += 1
-        p, inner_iters, value = inner_minimize(a_scaled, b_scaled, d, p, lam)
-        candidate_mapping = round_to_permutation(p)
-        perms = np.array(candidate_mapping.mapping, dtype=np.int64)[None, :]
-        candidate = float(_score_block(d, a, b, perms, cm.edge_cost_squared)[0])
+        p, inner_iters, value, certified = inner_minimize(
+            a_scaled, b_scaled, d, p, lam, None if lb is None else certify
+        )
+        candidate_mapping, candidate = certified or score(p)
         trace.append(
             RoundRecord(
                 round_index=rounds,

@@ -9,6 +9,7 @@ from gedalign import (
     CorpusFormatError,
     GraphFormatError,
     builtin_cost_model,
+    estimate_ged,
     exact_ged,
     generate_pairs,
     load_corpus,
@@ -19,6 +20,7 @@ from gedalign import (
     write_corpus,
 )
 from gedalign.bench import BenchReport, BenchRow, PairCase
+from gedalign.solver import CERTIFIED_OPTIMAL
 from conftest import graph
 
 CM3 = builtin_cost_model("case3")
@@ -111,6 +113,11 @@ class TestRunBench:
         scored = [r for r in report.rows if r.error is None and r.true_ged is not None]
         assert report.mae == sum(r.abs_err for r in scored) / len(scored)
         assert report.si == sum(1 for r in scored if r.exact_match) / len(scored)
+        assert report.certified_share == sum(r.certified for r in report.rows) / len(ids)
+        for case, row in zip(sorted(cases, key=lambda c: c.case_id), report.rows):
+            solve = estimate_ged(case.g1, case.g2, CM3)
+            assert row.inner_steps == sum(rec.inner_iterations for rec in solve.trace)
+            assert row.certified is (solve.converged_reason == CERTIFIED_OPTIMAL)
 
     def test_workers_do_not_change_results(self):
         cases = small_corpus(seed=13, count=6)
@@ -118,7 +125,8 @@ class TestRunBench:
         parallel = run_bench(cases, CM3, workers=3)
         strip = lambda row: (
             row.case_id, row.n1, row.n2, row.true_ged,
-            row.estimated_ged, row.abs_err, row.exact_match, row.rounds, row.error,
+            row.estimated_ged, row.abs_err, row.exact_match, row.rounds,
+            row.inner_steps, row.certified, row.error,
         )
         assert [strip(r) for r in sequential.rows] == [strip(r) for r in parallel.rows]
 
@@ -132,8 +140,10 @@ class TestRunBench:
         by_id = {row.case_id: row for row in report.rows}
         assert by_id["bad-0000"].error is not None
         assert by_id["bad-0000"].estimated_ged is None
+        assert by_id["bad-0000"].certified is None
         assert by_id["good-0000"].error is None
         assert report.mae == 0.0 and report.si == 1.0
+        assert report.certified_share == 1.0  # the failed pair is not counted
 
     def test_unexpected_exception_fails_only_its_pair(self, monkeypatch):
         cases = small_corpus(seed=8, count=4)
@@ -169,25 +179,36 @@ class TestRunBench:
 
 class TestReportArtifacts:
     ROWS = (
-        BenchRow("a", 3, 3, 2.0, 3.0, 1.0, False, 4, 12.5),
-        BenchRow("b", 2, 2, 1.0, 1.0, 0.0, True, 4, 8.25),
-        BenchRow("c", 2, 2, None, 1.0, None, None, 4, 8.0),
-        BenchRow("d", 2, 2, 1.0, None, None, None, 0, 1.0, error="boom"),
+        BenchRow("a", 3, 3, 2.0, 3.0, 1.0, False, 4, 120, False, 12.5),
+        BenchRow("b", 2, 2, 1.0, 1.0, 0.0, True, 4, 8, True, 8.25),
+        BenchRow("c", 2, 2, None, 1.0, None, None, 4, 16, True, 8.0),
+        BenchRow("d", 2, 2, 1.0, None, None, None, 0, 0, None, 1.0, error="boom"),
     )
-    REPORT = BenchReport(rows=ROWS, mae=0.5, si=0.5, failures=1, total_ms=30.0)
+    REPORT = BenchReport(
+        rows=ROWS, mae=0.5, si=0.5, certified_share=2 / 3, failures=1, total_ms=30.0
+    )
 
     def test_csv_layout(self):
         text = report_to_csv(self.REPORT)
         lines = text.strip().split("\n")
-        assert lines[0] == "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,wall_ms"
-        assert lines[1] == "a,3,3,2.0,3.0,1.0,0,4,12.500"
-        assert lines[2] == "b,2,2,1.0,1.0,0.0,1,4,8.250"
-        assert lines[3] == "c,2,2,,1.0,,,4,8.000"
-        assert lines[4] == "d,2,2,1.0,,,,0,1.000"
+        assert lines[0] == (
+            "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms"
+        )
+        assert lines[1] == "a,3,3,2.0,3.0,1.0,0,4,120,0,12.500"
+        assert lines[2] == "b,2,2,1.0,1.0,0.0,1,4,8,1,8.250"
+        assert lines[3] == "c,2,2,,1.0,,,4,16,1,8.000"
+        assert lines[4] == "d,2,2,1.0,,,,0,0,,1.000"
 
     def test_aggregate_json(self):
         doc = json.loads(report_to_aggregate_json(self.REPORT))
-        assert doc == {"mae": 0.5, "si": 0.5, "pairs": 4, "failures": 1, "total_ms": 30.0}
+        assert doc == {
+            "mae": 0.5,
+            "si": 0.5,
+            "certified_share": 2 / 3,
+            "pairs": 4,
+            "failures": 1,
+            "total_ms": 30.0,
+        }
 
     def test_aggregates_recompute_from_emitted_csv(self):
         cases = small_corpus(seed=29, count=8)
@@ -195,13 +216,16 @@ class TestReportArtifacts:
         lines = report_to_csv(report).strip().split("\n")[1:]
         errs = []
         exact = []
+        certified = []
         for line in lines:
             cells = line.split(",")
             if cells[3] and cells[5]:
                 errs.append(float(cells[5]))
                 exact.append(cells[6] == "1")
+            certified.append(cells[9] == "1")
         assert sum(errs) / len(errs) == report.mae
         assert sum(exact) / len(exact) == report.si
+        assert sum(certified) / len(certified) == report.certified_share
 
 
 class TestCorpusIO:

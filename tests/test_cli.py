@@ -220,8 +220,13 @@ class TestGenAndBench:
         assert summary["pairs"] == 10
         csv_lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 11
+        header = csv_lines[0].split(",")
+        assert header[-3:] == ["inner_steps", "certified", "wall_ms"]
+        certified = [line.split(",")[header.index("certified")] for line in csv_lines[1:]]
+        assert set(certified) <= {"0", "1"}
         agg = json.loads((tmp_path / "report.json").read_text())
         assert agg["pairs"] == 10 and agg["failures"] == 0
+        assert agg["certified_share"] == certified.count("1") / 10
 
     def test_dotted_prefix_keeps_its_name(self, tmp_path, capsys):
         # with_suffix would write "out/run.csv" for both "out/run.v1" and "out/run.v2"

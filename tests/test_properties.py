@@ -23,6 +23,7 @@ from gedalign import (  # noqa: E402
     make_graph,
     pad_pair,
 )
+import gedalign.solver as solver_module  # noqa: E402
 from gedalign.costs import MAX_COST  # noqa: E402
 from gedalign.editpath import lower_bound  # noqa: E402
 
@@ -51,6 +52,27 @@ def test_bound_truth_estimate_and_replay(g1, g2, setting):
     assert report.lower_bound is not None
     assert report.lower_bound <= truth <= report.estimated_ged
     assert report.estimated_ged == report.edit_path.total_cost == replay
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    g1=graphs(max_order=7),
+    g2=graphs(max_order=7),
+    setting=st.sampled_from(("case1", "case2", "case3")),
+)
+def test_checks_inside_a_round_lower_no_estimate(g1, g2, setting):
+    # the certified checks inside a round can only end a solve at the bound,
+    # so the estimate never rises above the solve without them, its edit
+    # path still explains it, and a certified estimate is the truth
+    cm = builtin_cost_model(setting)
+    report = estimate_ged(g1, g2, cm)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "CHECK_STEPS", ())
+        unchecked = estimate_ged(g1, g2, cm)
+    assert report.estimated_ged <= unchecked.estimated_ged
+    assert report.estimated_ged == report.edit_path.total_cost
+    if report.converged_reason == solver_module.CERTIFIED_OPTIMAL:
+        assert report.estimated_ged == report.lower_bound == exact_ged(g1, g2, cm).ged
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

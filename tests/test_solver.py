@@ -27,6 +27,7 @@ from gedalign.costs import MAX_COST
 from gedalign.kernel import value_and_grad
 from gedalign.solver import (
     CERTIFIED_OPTIMAL,
+    CHECK_STEPS,
     INNER_TOL,
     LAMBDA_ROUNDS_EXHAUSTED,
     PATIENCE_EXHAUSTED,
@@ -83,7 +84,7 @@ class TestFrankWolfe:
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
             kernel_calls.clear()
             lap_calls.clear()
-            _, iters, _ = inner_minimize(a, b, d, p0, lam)
+            _, iters, _, _ = inner_minimize(a, b, d, p0, lam)
             for k in range(iters):
                 p, value = kernel_calls[k][0][3], kernel_calls[k + 1][1][0]
                 cols = lap_calls[k][1][0]
@@ -113,7 +114,7 @@ class TestInnerMinimize:
         a = adjacency(TRIANGLE, 3)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
-        p, iters, _ = inner_minimize(a, a, d, p0, 0.0)
+        p, iters, _, _ = inner_minimize(a, a, d, p0, 0.0)
         assert iters == 0
         assert np.array_equal(p, p0)
 
@@ -121,7 +122,7 @@ class TestInnerMinimize:
         pair = pad_pair(TRIANGLE, TRIANGLE)
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
+        p, _, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
         assert value_and_grad(a, b, d, p, 0.0)[0] == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
@@ -134,7 +135,7 @@ class TestInnerMinimize:
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
         value_at_start = value_and_grad(a, b, d, start, 0.0)[0]
-        p, _, _ = inner_minimize(a, b, d, start, 0.0)
+        p, _, _, _ = inner_minimize(a, b, d, start, 0.0)
         assert value_and_grad(a, b, d, p, 0.0)[0] < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
@@ -149,7 +150,7 @@ class TestInnerMinimize:
             d = build_cost_matrix(pair, cm)
             # a doubly stochastic start: the mean of three permutations
             p0 = sum(np.eye(pair.order)[rng.permutation(pair.order)] for _ in range(3)) / 3.0
-            p, _, _ = inner_minimize(a, b, d, p0, 1.0)
+            p, _, _, _ = inner_minimize(a, b, d, p0, 1.0)
             assert (
                 value_and_grad(a, b, d, p, 1.0)[0]
                 <= value_and_grad(a, b, d, p0, 1.0)[0] + INNER_TOL
@@ -164,7 +165,7 @@ class TestInnerMinimize:
             a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
             d = build_cost_matrix(pair, cm)
             lam = float(rng.uniform(0.0, 2.0))
-            p, _, value = inner_minimize(a, b, d, np.eye(pair.order), lam)
+            p, _, value, _ = inner_minimize(a, b, d, np.eye(pair.order), lam)
             assert value == value_and_grad(a, b, d, p, lam)[0]
 
 
@@ -230,32 +231,38 @@ class TestSolvePair:
         second = estimate_ged(g1, g2, cm)
         assert first == second
 
-    def test_pinned_outputs_over_generated_pairs(self):
-        # digest recorded before the LAP's list path for small orders; any
-        # speedup must leave every estimate, mapping and round bit-identical
-        digest = hashlib.sha256()
-        for k, setting in enumerate(("case1", "case2", "case3")):
-            cm = builtin_cost_model(setting)
-            cases = generate_pairs(
-                seed=1500 + k, count=14, n_range=(3, 9), edit_range=(1, 5),
-                label_alphabet=("0", "1"), cm=cm, edge_prob=0.4, max_order=9, oracle_budget=0,
-            )
-            for case in cases:
-                report = estimate_ged(case.g1, case.g2, cm)
-                rounds = [
-                    (rec.candidate_ged, rec.inner_iterations, rec.objective_value.hex())
-                    for rec in report.trace
-                ]
-                outputs = (
-                    report.estimated_ged.hex(),
-                    report.permutation.mapping,
-                    report.converged_reason,
-                    rounds,
+    def test_pinned_outputs_over_generated_pairs(self, monkeypatch):
+        # the production schedule, whose checks end some rounds early, has its
+        # own digest. With no checks inside a round the solve still gives the
+        # digest recorded before the LAP's list path for small orders: a check
+        # that does not certify changes nothing
+        def digest():
+            h = hashlib.sha256()
+            for k, setting in enumerate(("case1", "case2", "case3")):
+                cm = builtin_cost_model(setting)
+                cases = generate_pairs(
+                    seed=1500 + k, count=14, n_range=(3, 9), edit_range=(1, 5),
+                    label_alphabet=("0", "1"), cm=cm, edge_prob=0.4, max_order=9,
+                    oracle_budget=0,
                 )
-                digest.update(repr(outputs).encode())
-        assert digest.hexdigest() == (
-            "44c42aa2dea217020ddfe89752538755c3dbc6b6bbbc1dc1d448fefbbb4f2158"
-        )
+                for case in cases:
+                    report = estimate_ged(case.g1, case.g2, cm)
+                    rounds = [
+                        (rec.candidate_ged, rec.inner_iterations, rec.objective_value.hex())
+                        for rec in report.trace
+                    ]
+                    outputs = (
+                        report.estimated_ged.hex(),
+                        report.permutation.mapping,
+                        report.converged_reason,
+                        rounds,
+                    )
+                    h.update(repr(outputs).encode())
+            return h.hexdigest()
+
+        assert digest() == "e60939c144494ae4e7465ea6b27aae9910d9eec30e5731cca8dc317a1f7cdfcf"
+        monkeypatch.setattr(solver_module, "CHECK_STEPS", ())
+        assert digest() == "44c42aa2dea217020ddfe89752538755c3dbc6b6bbbc1dc1d448fefbbb4f2158"
 
     def test_lambda_round_cap(self, monkeypatch):
         monkeypatch.setattr(SolverConfig, "lambda_max_rounds", 2)
@@ -349,9 +356,11 @@ class TestSolvePair:
 
 
 class TestCertifiedStop:
-    def test_stop_changes_no_result(self, monkeypatch):
-        # the certified stop against solves with no bound: same estimates,
-        # mappings and edit paths, and every certified estimate is the truth
+    def test_stop_lowers_no_estimate(self, monkeypatch):
+        # the certified stop against solves with no bound. A solve that does
+        # not certify is the unbounded solve, trace bits included. A certified
+        # one returns the bound, which is the truth and never above the
+        # unbounded estimate; its mapping may be another optimal one
         pairs = []
         for setting in ("case1", "case3"):
             cm = builtin_cost_model(setting)
@@ -371,15 +380,31 @@ class TestCertifiedStop:
             return [estimate_ged(g1, g2, cm) for g1, g2, cm in pairs]
 
         stopped = run()
-        monkeypatch.setattr(solver_module, "lower_bound", lambda *args: None)
-        full = run()
-        assert any(r.converged_reason == CERTIFIED_OPTIMAL for r in stopped)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "lower_bound", lambda *args: None)
+            full = run()
+        certified = [r.converged_reason == CERTIFIED_OPTIMAL for r in stopped]
+        assert any(certified) and not all(certified)
         for (g1, g2, cm), r1, r2 in zip(pairs, stopped, full):
-            assert r1.estimated_ged == r2.estimated_ged
-            assert r1.permutation == r2.permutation
-            assert r1.edit_path == r2.edit_path
             if r1.converged_reason == CERTIFIED_OPTIMAL:
                 assert r1.estimated_ged == r1.lower_bound == exact_ged(g1, g2, cm).ged
+                assert r1.estimated_ged <= r2.estimated_ged
+            else:
+                assert replace(r1, lower_bound=None) == r2
+                assert [rec.objective_value.hex() for rec in r1.trace] == [
+                    rec.objective_value.hex() for rec in r2.trace
+                ]
+
+        # PATH4 against STAR4 certifies at a check inside its first round;
+        # without checks that round runs to the step cap
+        cm = builtin_cost_model("case3")
+        checked = estimate_ged(PATH4, STAR4, cm)
+        monkeypatch.setattr(solver_module, "CHECK_STEPS", ())
+        unchecked = estimate_ged(PATH4, STAR4, cm)
+        assert checked.converged_reason == unchecked.converged_reason == CERTIFIED_OPTIMAL
+        assert checked.trace[-1].inner_iterations in CHECK_STEPS
+        steps = lambda report: sum(rec.inner_iterations for rec in report.trace)
+        assert steps(checked) < steps(unchecked)
 
     def test_certifies_a_shuffled_pair_at_n50(self):
         # the generator's edits cost exactly the certified bound, so 2.0 is
