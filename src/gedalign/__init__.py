@@ -1,9 +1,9 @@
 """Graph edit distance estimation via a doubly-stochastic alignment relaxation.
 
 Public surface, as imported below: labeled graph I/O and pairing, edit-cost
-models, exact linear assignment, the solver, the exact brute-force oracle, and
-the benchmark harness. The objective kernel and the inner loop live in
-``gedalign.kernel`` and ``gedalign.solver``.
+models, exact linear assignment, the solver, the exact branch-and-bound
+oracle, and the benchmark harness. The objective kernel and the inner loop
+live in ``gedalign.kernel`` and ``gedalign.solver``.
 """
 
 from .assignment import Permutation, round_to_permutation, solve_assignment

@@ -202,9 +202,9 @@ def generate_pairs(
 
     Each case samples a labeled random graph, applies a drawn number of random
     edits, and records the exact cost realized by the generator's alignment.
-    The true distance is computed with the exhaustive oracle whenever the
-    padded order fits ``oracle_budget``. The result is fully determined by
-    ``seed`` and the parameters.
+    The true distance is computed with the exact oracle whenever the
+    padded order fits ``oracle_budget``; its running time depends on the
+    pair. The result is fully determined by ``seed`` and the parameters.
     """
     if not label_alphabet:
         raise ValueError("label alphabet must not be empty")

@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_exact = sub.add_parser("exact", help="exact distance by exhaustive search (small graphs)")
+    p_exact = sub.add_parser("exact", help="exact distance by branch and bound (small graphs)")
     p_exact.add_argument("graph1")
     p_exact.add_argument("graph2")
     _add_cost_option(p_exact)

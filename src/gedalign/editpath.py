@@ -1,5 +1,5 @@
 """Exact edit accounting under a fixed mapping, edit-path extraction, and the
-brute-force oracle.
+exact oracle.
 
 The distance realized by a mapping ``pi`` over a pair, aligned over
 ``max(n1, n2)`` indices, is the node term plus the edge term::
@@ -18,17 +18,22 @@ gets the same bits wherever it is scored.
 node-cost minima, the sorted degree sequences and the edge-count parity. When
 every cost is an integer and every sum stays below ``2**53``, all of these
 sums are exact, so a mapping whose cost reaches the bound is provably
-optimal; the solver stops there. The oracle does not: it always scores all
-``n!`` mappings, so its running time depends on the order alone.
+optimal; the solver stops there, and so does the oracle.
+
+The oracle, ``exact_ged``, is a depth-first branch and bound over partial
+mappings that returns the first cheapest mapping in lexicographic order,
+bit for bit what scoring all ``n!`` mappings in that order would return. Its
+running time depends on the pair: at padded order 9, from under a
+millisecond to about 0.2 s on the pairs measured, where scoring all ``n!``
+mappings took about 0.45 s on every pair.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -37,10 +42,8 @@ from .costs import CostModel, build_cost_matrix
 from .errors import BudgetExceededError
 from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
 
-#: Default cap on the padded order accepted by the exhaustive oracle.
+#: Default cap on the padded order accepted by the exact oracle.
 DEFAULT_NODE_BUDGET = 9
-
-_PERM_TAIL = 7  # trailing positions enumerated within one block of 7! or fewer rows
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,20 @@ def _score_block(
     return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
 
 
+def _sums_are_exact(d: np.ndarray, k2: float) -> bool:
+    """Whether every sum of node costs from ``d`` and multiples of ``k2`` that
+    a mapping's cost or a bound on it forms is exact in float64: every node
+    cost and ``k2`` are integers (costs are nonnegative by construction) and
+    ``d.sum() + k2 * n**2`` stays below ``2**53``."""
+    n = d.shape[0]
+    k2 = float(k2)
+    return (
+        k2.is_integer()
+        and bool(np.all((np.floor(d) == d) & (d < 2.0**53)))  # so d.sum() cannot overflow
+        and bool(d.sum() + k2 * n * n < 2.0**53)
+    )
+
+
 def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float | None:
     """Certified lower bound on the cost of every mapping, or ``None``.
 
@@ -165,19 +182,11 @@ def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float
     the slot bound.
 
     It is returned only when it is exact in float64 and so is the cost of
-    every mapping: every node cost and ``k2`` are integers (costs are
-    nonnegative by construction) and ``d.sum() + k2 * n**2`` stays below
-    ``2**53``. A mapping whose cost is at most the bound is then optimal, bit
-    for bit. Otherwise ``None``.
+    every mapping (:func:`_sums_are_exact`). A mapping whose cost is at most
+    the bound is then optimal, bit for bit. Otherwise ``None``.
     """
     n = d.shape[0]
-    k2 = float(k2)
-    exact = (
-        k2.is_integer()
-        and bool(np.all((np.floor(d) == d) & (d < 2.0**53)))  # so d.sum() cannot overflow
-        and d.sum() + k2 * n * n < 2.0**53
-    )
-    if not exact:
+    if not _sums_are_exact(d, k2):
         return None
     if n == 0:
         return 0.0
@@ -248,37 +257,137 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
     return EditPath(ops=tuple(ops), total_cost=total)
 
 
-@functools.lru_cache(maxsize=None)
-def _lex_table(k: int) -> np.ndarray:
-    """All permutations of ``0..k-1`` in lexicographic order, one per row.
+def _twins(rows: list[list[float]], adj: list[list[bool]]) -> list[list[int]]:
+    """For each index ``u``, the smaller indices ``v`` whose row of ``rows``
+    equals ``u``'s and whose adjacency row agrees with ``u``'s outside ``u``
+    and ``v``. Swapping the preimages of two such columns keeps the
+    edited-slot count and every node's cost; swapping the images of two such
+    rows keeps the count and exchanges the two rows' node costs."""
+    masks = [sum(bit << t for t, bit in enumerate(row)) for row in adj]
+    return [
+        [
+            v
+            for v in range(u)
+            if rows[v] == rows[u] and not (masks[v] ^ masks[u]) & ~(1 << u | 1 << v)
+        ]
+        for u in range(len(rows))
+    ]
 
-    The tables are read-only because every caller shares them; only orders up
-    to ``_PERM_TAIL`` are ever asked for, so the cache stays small.
+
+def _branch_and_bound(
+    d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float
+) -> tuple[float, tuple[int, ...]]:
+    """The cost of the cheapest mapping of order ``n >= 1`` and the first such
+    mapping in lexicographic order, from the node-cost matrix ``d`` and the
+    adjacency matrices ``a`` and ``b``.
+
+    A depth-first search assigns node ``k`` after nodes ``0..k-1``, trying
+    the free images in increasing order, so complete mappings come in
+    lexicographic order; one is kept only when it costs strictly less than
+    the best so far. It is scored by :func:`_mapping_costs` from the node
+    costs, summed in index order, and the count of edited slots. The stack
+    holds one frame per assigned node.
+
+    For a partial mapping ``pi`` let ``c[v, w] = d[v, w] + k2 * #{assigned u :
+    a[v, u] != b[w, pi(u)]}`` over the free rows and columns. Every completion
+    pays the partial mapping's own cost, at least the larger of the sums of
+    the row minima and of the column minima of ``c``, and ``k2`` times at
+    least ``| |E_a(free rows)| - |E_b(free columns)| |`` for the slots between
+    free nodes. A child is expanded only while that bound leaves room for a
+    cheaper completion. When :func:`_sums_are_exact`, every sum is exact and
+    a bound equal to the best prunes. Otherwise the bound and a mapping's
+    cost round differently. All terms are nonnegative and total at most
+    ``S = d.sum() + k2 * n**2``; the bound takes at most ``2n + 3`` roundings
+    and a mapping's cost ``n + 1``, so the bound prunes only above the best
+    plus ``8 * n**2 * 2**-52 * S``, which covers both errors and the rounding
+    of that sum.
+
+    A child is also skipped when each of its completions has an earlier
+    mapping of the same cost, bit for bit, so the first cheapest mapping
+    never is:
+    - its image has a free twin column of smaller index, or its node has a
+      twin row of smaller index whose image is larger and whose node cost
+      is the same at both images, or any node cost when every sum is exact
+      (:func:`_twins`);
+    - an earlier partial mapping of the same depth reached its state: the
+      same free images, node-cost sum and edited-slot count, and the same
+      images for the assigned nodes with edges to unassigned ones. Any other
+      assigned node adds to a free row's cost at an image only whether that
+      image is adjacent to its own, and the free images fix which images
+      those nodes hold, so the state fixes every completion's cost. States
+      are kept only where at least two assigned nodes are such others, as
+      no two partial mappings can share one elsewhere.
     """
-    count = math.factorial(k)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    table = np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
-    table.setflags(write=False)
-    return table
+    n = d.shape[0]
+    lb = lower_bound(d, a, b, k2)
+    tol = 8 * n * n * 2.0**-52 * float(d.sum() + k2 * n * n)
+    al = (a != 0).tolist()
+    bl = (b != 0).tolist()
+    dl = d.tolist()
+    twin_cols = _twins(d.T.tolist(), bl)
+    twin_rows = _twins(dl, al)
+    # along[s][x][w]: what assigning a node to image x adds to c[v, w] for a
+    # free row v whose edge to that node is s
+    along = [[[k2 if s != bx[w] else 0.0 for w in range(n)] for bx in bl] for s in (False, True)]
+    edges_a_from = [0] * (n + 1)  # edges of a among nodes k..n-1
+    for k in range(n - 1, -1, -1):
+        edges_a_from[k] = edges_a_from[k + 1] + sum(al[k][k + 1 :])
+    # boundary[k]: the nodes below k with an edge to a node at or past k
+    boundary = [[u for u in range(k) if any(al[u][k:])] for k in range(n + 1)]
+    seen = set()
 
-
-def _permutation_blocks(n: int) -> Iterator[np.ndarray]:
-    """Lexicographically ordered permutations of ``0..n-1`` in bounded blocks.
-
-    Each block fixes one prefix of ``n - _PERM_TAIL`` values, taken in
-    lexicographic order, and runs the cached table of the tail over the
-    remaining values in increasing order. Up to ``_PERM_TAIL`` nodes the
-    prefix is empty and the one block is the whole enumeration.
-    """
-    tail = _lex_table(min(n, _PERM_TAIL))
-    head = n - tail.shape[1]
-    for prefix in itertools.permutations(range(n), head):
-        rest = np.ones(n, dtype=bool)
-        rest[list(prefix)] = False
-        block = np.empty((len(tail), n), dtype=np.int64)
-        block[:, :head] = prefix
-        block[:, head:] = np.flatnonzero(rest)[tail]
-        yield block
+    best, best_mapping = math.inf, ()
+    cutoff = math.inf  # a child whose bound reaches it is not expanded
+    image = [0] * n
+    stack = [(0, 0.0, 0, dl, list(range(n)), int(np.count_nonzero(b)) // 2, iter(range(n)))]
+    while stack:
+        k, node_sum, edited, rows, free, edges_b, images = stack[-1]
+        x = next(images, None)
+        if x is None:
+            stack.pop()
+            continue
+        if any(w in free for w in twin_cols[x]) or any(
+            image[v] > x and (lb is not None or dl[v][x] == dl[v][image[v]])
+            for v in twin_rows[k]
+        ):
+            continue
+        image[k] = x
+        ak, bx = al[k], bl[x]
+        child_sum = node_sum + dl[k][x]
+        child_edited = edited + sum([ak[u] != bx[image[u]] for u in range(k)])
+        if k == n - 1:
+            total = _mapping_costs((child_sum,), child_edited, k2)
+            if total < best:
+                best, best_mapping = total, tuple(image)
+                if total == lb:
+                    break  # no later mapping can cost less
+                cutoff = best if lb is not None else math.nextafter(best + tol, math.inf)
+            continue
+        child_free = [w for w in free if w != x]
+        if k + 1 - len(boundary[k + 1]) >= 2:
+            links = [image[u] for u in boundary[k + 1]]
+            state = (tuple(child_free), child_sum, child_edited, *links)
+            if state in seen:
+                continue
+            seen.add(state)
+        child_edges_b = edges_b - sum([bx[w] for w in child_free])
+        child_rows = []
+        for v in range(k + 1, n):
+            row = list(map(operator.add, rows[v - k], along[al[v][k]][x]))
+            row[x] = math.inf
+            child_rows.append(row)
+        rest = sum(map(min, child_rows))
+        if len(child_rows) > 1:
+            col_min = list(map(min, *child_rows))
+            rest = max(rest, sum([col_min[w] for w in child_free]))
+        edge_gap = abs(edges_a_from[k + 1] - child_edges_b)
+        bound = child_sum + k2 * child_edited + rest + k2 * edge_gap
+        if bound < cutoff:
+            stack.append(
+                (k + 1, child_sum, child_edited, child_rows, child_free, child_edges_b,
+                 iter(child_free))
+            )
+    return best, best_mapping
 
 
 def exact_ged(
@@ -287,15 +396,17 @@ def exact_ged(
     cm: CostModel,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactResult:
-    """True distance by exhaustive enumeration of all mappings.
+    """True distance by a depth-first branch and bound over partial mappings.
 
     Ties are broken toward the lexicographically smallest mapping. Refuses
     pairs whose padded order exceeds ``node_budget`` rather than approximating.
 
-    Mappings are scored in vectorized blocks, in lexicographic order, with the
-    same accounting as :func:`ged_under_mapping`, so the reported value is the
-    winner's cost. Every mapping is scored, whatever the pair, so the cost
-    of a call is fixed by the padded order.
+    Mappings are scored with the same accounting as
+    :func:`ged_under_mapping`, so the reported value is the winner's cost,
+    bit for bit. A partial mapping is abandoned once a lower bound on every
+    completion shows that none can cost less than the best mapping found
+    (DF-GED, Abu-Aisheh et al., ICPRAM 2015), so the running time depends on
+    the pair, not on its order alone.
     """
     pair = pad_pair(g1, g2)
     n = pair.order
@@ -303,17 +414,10 @@ def exact_ged(
         raise BudgetExceededError(
             f"padded order {n} exceeds the exact-search budget {node_budget}"
         )
+    if n == 0:
+        return ExactResult(ged=0.0, optimal_mapping=Permutation(()))
     d = build_cost_matrix(pair, cm)
     a = adjacency(pair.g1, n)
     b = adjacency(pair.g2, n)
-    best_total = np.inf
-    best_perm: np.ndarray | None = None
-    for perms in _permutation_blocks(n):
-        totals = _score_block(d, a, b, perms, cm.edge_cost_squared)
-        k = int(np.argmin(totals))
-        if totals[k] < best_total:
-            best_total = float(totals[k])
-            best_perm = perms[k].copy()
-    assert best_perm is not None
-    mapping = Permutation(tuple(best_perm.tolist()))
-    return ExactResult(ged=best_total, optimal_mapping=mapping)
+    ged, mapping = _branch_and_bound(d, a, b, cm.edge_cost_squared)
+    return ExactResult(ged=ged, optimal_mapping=Permutation(mapping))

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gedalign import LabeledGraph, make_graph
+from gedalign import LabeledGraph, adjacency, build_cost_matrix, make_graph, pad_pair
+from gedalign.editpath import _score_block
 from gedalign.kernel import value_and_grad
 
 
@@ -62,6 +63,19 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
             best_total, best_perm = total, perm
     assert best_perm is not None
     return best_total, best_perm
+
+
+def brute_force_ged(g1, g2, cm) -> tuple[float, tuple[int, ...]]:
+    """Reference oracle: every mapping in lexicographic order, scored by
+    ``_score_block``; the first of the cheapest is kept."""
+    pair = pad_pair(g1, g2)
+    n = pair.order
+    d = build_cost_matrix(pair, cm)
+    a, b = adjacency(pair.g1, n), adjacency(pair.g2, n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    totals = _score_block(d, a, b, perms, cm.edge_cost_squared)
+    k = int(np.argmin(totals))  # the first occurrence of the minimum
+    return float(totals[k]), tuple(perms[k].tolist())
 
 
 @pytest.fixture

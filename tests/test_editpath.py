@@ -1,7 +1,7 @@
 """Edit accounting under a mapping, path extraction/replay, and the oracle."""
 
+import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -16,16 +16,16 @@ from gedalign import (
     exact_ged,
     extract_edit_path,
     ged_under_mapping,
+    generate_pairs,
+    make_graph,
     pad_pair,
 )
 from gedalign.editpath import (
-    _PERM_TAIL,
     EdgeDelete,
     EdgeInsert,
     NodeDelete,
     NodeInsert,
     NodeSubstitute,
-    _permutation_blocks,
     lower_bound,
 )
 from gedalign.kernel import value_and_grad
@@ -238,8 +238,9 @@ class TestExactGed:
         assert all(exact_ged(g1, g2, cm) == first for _ in range(3))
 
     def test_optimum_in_the_last_block(self):
-        # node 0 must go to node 7, so the first seven blocks (prefix 0..6)
-        # cost at least 2 and only the last one holds a mapping of cost 0
+        # node 0 must go to node 7, so every mapping that sends it to one of
+        # the first seven images costs at least 2, and the only mappings of
+        # cost 0 lie under the last image the search tries for node 0
         cm = CostModel(
             edge_cost_squared=1.0, insert_default=1.0, delete_default=1.0, substitute_default=1.0
         )
@@ -278,12 +279,44 @@ class TestExactGed:
             )
             assert exact_ged(g1, g2, cm).ged == expected
 
-    def test_permutation_blocks_are_the_lexicographic_enumeration(self):
-        for n in range(10):
-            blocks = list(_permutation_blocks(n))
-            assert all(len(block) <= math.factorial(_PERM_TAIL) for block in blocks)
-            expected = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-            assert np.array_equal(np.concatenate(blocks), expected)
+    def test_pinned_outputs_over_exact_n9_pairs_and_symmetric_graphs(self):
+        # the digest of every (ged, mapping) that scoring all n! mappings gave
+        # before the branch and bound replaced it: the exact_n9 benchmark
+        # pairs at both seeds, and all ordered pairs of seven symmetric
+        # single-label graphs of order 9, whose many tied mappings leave the
+        # lexicographic tie-break all the work
+        n = 9
+        complete = list(itertools.combinations(range(n), 2))
+        ring = sorted({tuple(sorted((i, (i + 1) % n))) for i in range(n)})
+        family = [
+            make_graph(["0"] * n, edges)
+            for edges in (
+                ring,
+                [(i, i + 1) for i in range(n - 1)],  # path
+                [(t + i, t + j) for t in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))],
+                [(0, j) for j in range(1, n)],  # star
+                complete,
+                [],
+                [e for e in complete if e not in set(ring)],
+            )
+        ]
+        h = hashlib.sha256()
+
+        def record(g1, g2, cm):
+            result = exact_ged(g1, g2, cm)
+            h.update(repr((result.ged, result.optimal_mapping.mapping)).encode())
+
+        case1 = builtin_cost_model("case1")
+        for seed in (20240501, 31337):
+            for case in generate_pairs(
+                seed, 12, (9, 9), (1, 3), ("0", "1", "2", "3"), case1, max_order=9,
+                oracle_budget=0,
+            ):
+                record(case.g1, case.g2, case1)
+        for setting in ("case1", "case3"):
+            for g1, g2 in itertools.product(family, repeat=2):
+                record(g1, g2, builtin_cost_model(setting))
+        assert h.hexdigest() == "c4f23ca624f28f4cdecb5ed33fbd948ecc6d76b788b7e12a3fba14000ddcbdde"
 
 
 class TestLowerBound:

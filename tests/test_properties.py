@@ -26,6 +26,7 @@ from gedalign import (  # noqa: E402
 import gedalign.solver as solver_module  # noqa: E402
 from gedalign.costs import MAX_COST  # noqa: E402
 from gedalign.editpath import lower_bound  # noqa: E402
+from conftest import brute_force_ged  # noqa: E402
 
 #: integer labels, so that case2's nearest-label substitution applies
 LABELS = ("0", "1", "2", "3")
@@ -127,3 +128,33 @@ def test_costs_at_the_ceiling_stay_finite(g1, g2, cm, lambda_step):
     assert math.isfinite(report.estimated_ged)
     assert report.estimated_ged >= exact_ged(g1, g2, cm).ged
     assert report.estimated_ged == report.edit_path.total_cost
+
+
+#: the built-in settings, and fractional costs, whose sums take different bits
+#: in different orders
+ORACLE_COST_MODELS = [builtin_cost_model(s) for s in ("case1", "case2", "case3")] + [
+    CostModel(edge_cost_squared=0.3, insert_default=0.1, delete_default=0.7, substitute_default=0.2),
+    CostModel(
+        edge_cost_squared=0.1,
+        insert_default=0.2,
+        delete_default=0.3,
+        substitute_default=0.7,
+        insert_costs={"1": 0.1, "2": 1 / 3},
+        delete_costs={"0": 0.1},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cm", ORACLE_COST_MODELS, ids=["case1", "case2", "case3", "fractional", "fractional-per-label"]
+)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(g1=graphs(max_order=7), g2=graphs(max_order=7))
+def test_exact_ged_is_the_first_cheapest_mapping(g1, g2, cm):
+    # the branch and bound returns what scoring every mapping in
+    # lexicographic order and keeping the first strict minimum returns: the
+    # same bits and the same mapping, whatever order the costs round in
+    ged, mapping = brute_force_ged(g1, g2, cm)
+    result = exact_ged(g1, g2, cm)
+    assert result.ged.hex() == ged.hex()
+    assert result.optimal_mapping.mapping == mapping
