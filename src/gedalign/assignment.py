@@ -6,16 +6,40 @@ duals and matches rows greedily along zero reduced cost; the second inserts
 only the rows left free, one shortest augmenting path each. On small-integer
 costs with many ties the first phase leaves only a few rows free.
 
+A search for an augmenting path settles columns by distance, the lowest index
+first among equals, and has two stops. The index-order stop ends when the
+column settled is unmatched. On costs with many ties it settles nearly every
+column at one distance before an unmatched one comes first. The tie stop,
+Jonker and Volgenant's, ends as soon as an unmatched column is at the least
+distance, at the lowest-index one: on random {0,1,2} matrices of order 300
+to 400 a search takes 2 to 4 steps in place of about n. ``solve_assignment``
+uses the tie stop, since its refine (below) makes the mapping independent of
+the optimum the search finds. The solver's Frank–Wolfe directions keep the
+index-order stop: they use the vertex as found, so another optimum would
+move the iterates and the estimates.
+
 The two phases have two implementations, chosen by the matrix order alone:
 up to ``SCALAR_MAX_ORDER`` (96) they run one float at a time on Python
-lists, above it on numpy arrays, row by row. Both do the same floating-point
-operations on the same operands in the same order, so they return the same
-assignment and the same dual bits; the array path is the reference. At small
-orders numpy's per-call overhead dominates. Measured on a 2-vCPU Xeon with
-one BLAS thread, cold starts and the solver's warm-started directions alike,
-the lists are about 7 times faster at order 8 and 1.5 times at 96, break
-even near 160 and lose by 1.1-1.25 times at 192; the border keeps a margin
-below the break-even point.
+lists, above it on numpy arrays, whole rows at a time under boolean masks.
+Both do the same floating-point operations on the same operands in the same
+order, so they return the same assignment and the same dual bits; the array
+path is the reference. At small orders numpy's per-call overhead dominates.
+Milliseconds per call, lists / arrays, medians on a 2-vCPU Xeon with one BLAS
+thread; the directions are the first 40 of a solve on two unrelated n-node
+case1 graphs (warm-started, index-order stop)::
+
+    order   cold normals   directions    {0,1,2} ties, tie stop
+        8    0.04 / 0.07   0.03 / 0.11     0.02 / 0.06
+       32    0.70 / 1.87   0.89 / 2.15     0.18 / 0.24
+       64    2.78 / 3.88    3.9 / 5.5      0.44 / 0.27
+       96    6.47 / 5.51   11.3 / 13.4     0.72 / 0.22
+      128    15.7 / 15.4   28.4 / 21.4     2.25 / 0.78
+      160    34.8 / 23.4   43.2 / 25.3     3.47 / 0.81
+      192    77.0 / 40.2     88 / 39       4.52 / 1.03
+
+The directions, most of a solve's LAP calls, set the border: there the lists
+still win at 96 and lose at 128. On tie-heavy costs under the tie stop the
+arrays win from about 64.
 
 Determinism contract: among all optimal assignments, the lexicographically
 smallest mapping is returned. The augmenting search alone does not guarantee
@@ -84,7 +108,7 @@ SCALAR_MAX_ORDER = 96
 
 
 def _augmenting_path_lap(
-    cost: np.ndarray, v: np.ndarray | None = None
+    cost: np.ndarray, v: np.ndarray | None = None, *, stop_at_unmatched_tie: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize a square assignment; returns (row_to_col, row duals, column duals).
 
@@ -97,10 +121,16 @@ def _augmenting_path_lap(
     cost, if any. Phase two inserts each row left free, in index order, by a
     Dijkstra search for a shortest augmenting path over reduced costs; its
     dual updates keep every reduced cost non-negative and every matched edge
-    at zero. The duals stay feasible and the matching stays tight, so the
-    final assignment is optimal by complementary slackness. Every scan over columns runs in index order
-    with strict-improvement comparisons, so the outcome is deterministic.
-    The caller's ``v`` is not written.
+    at zero. Each step settles the lowest-index column at the least distance
+    and the search ends when that column is unmatched (the index-order stop).
+    With ``stop_at_unmatched_tie`` the search ends as soon as an unmatched
+    column is at the least distance, at the lowest-index one (the tie stop):
+    that path is as short and the duals move alike, so either stop gives an
+    optimum, though not always the same one. The duals stay feasible and the
+    matching stays tight, so the final assignment is optimal by complementary
+    slackness. Every scan over columns runs in index order with
+    strict-improvement comparisons, so the outcome is deterministic. The
+    caller's ``v`` is not written.
     """
     n = cost.shape[0]
     # initial=inf lets an empty matrix through and changes no other minimum
@@ -108,54 +138,76 @@ def _augmenting_path_lap(
     slack = cost - v
     u = slack.min(axis=1, initial=np.inf)
     phases = _phases_on_lists if n <= SCALAR_MAX_ORDER else _phases_on_arrays
-    col_to_row = phases(cost, slack, u, v)
+    col_to_row = phases(cost, slack, u, v, stop_at_unmatched_tie)
     row_to_col = np.empty(n, dtype=np.int64)
     row_to_col[col_to_row[:n]] = np.arange(n)
     return row_to_col, u, v
 
 
 def _phases_on_arrays(
-    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray
+    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray, tie_stop: bool
 ) -> np.ndarray:
     """Both phases with numpy operations over whole rows; updates ``u`` and
-    ``v`` in place and returns ``col_to_row`` (entry ``n`` is scratch)."""
+    ``v`` in place and returns ``col_to_row`` (entry ``n`` is scratch).
+
+    Boolean masks over the columns (unmatched, left to settle, settled) and
+    over the rows (in the search tree) select the entries to update, through
+    ufuncs with ``out=`` and ``where=``, so no step gathers or scatters by
+    index. A settled column's ``minv`` is set to infinity, so that ``argmin``
+    over the whole row picks among the columns left to settle."""
     n = cost.shape[0]
     col_to_row = np.full(n + 1, -1, dtype=np.int64)  # index n is the virtual start column
+    unmatched = np.ones(n, dtype=bool)
+    zero = slack == u[:, None]
     free_rows = []
     for i in range(n):
-        zero = (slack[i] == u[i]) & (col_to_row[:n] == -1)
-        j = int(np.argmax(zero))
-        if zero[j]:
+        row = np.logical_and(zero[i], unmatched, out=zero[i])
+        j = int(row.argmax())
+        if row[j]:
             col_to_row[j] = i
+            unmatched[j] = False
         else:
             free_rows.append(i)
     way = np.full(n, -1, dtype=np.int64)
+    minv, reduced = np.empty(n), np.empty(n)
+    to_settle, settled, tree_rows, better = (np.empty(n, dtype=bool) for _ in range(4))
     for i in free_rows:
         col_to_row[n] = i
         j0 = n
-        minv = np.full(n, np.inf, dtype=np.float64)
-        used = np.zeros(n + 1, dtype=bool)
+        minv.fill(np.inf)
+        to_settle.fill(True)
+        settled.fill(False)
+        tree_rows.fill(False)
         while True:
-            used[j0] = True
-            i0 = col_to_row[j0]
-            free = ~used[:n]
-            idx = np.nonzero(free)[0]
-            reduced = cost[i0, idx] - u[i0] - v[idx]
-            better = reduced < minv[idx]
-            sel = idx[better]
-            minv[sel] = reduced[better]
-            way[sel] = j0
-            k = int(np.argmin(minv[idx]))
-            j1 = int(idx[k])
+            i0 = int(col_to_row[j0])
+            tree_rows[i0] = True  # at j0 = n, the virtual column's row i
+            if j0 < n:
+                to_settle[j0] = False
+                settled[j0] = True
+                minv[j0] = np.inf
+            np.subtract(cost[i0], u[i0], out=reduced)
+            np.subtract(reduced, v, out=reduced)
+            np.less(reduced, minv, out=better)
+            better &= to_settle
+            np.copyto(minv, reduced, where=better)
+            np.copyto(way, j0, where=better)
+            j1 = int(minv.argmin())
+            if not to_settle[j1]:  # every entry is inf: take the first column left
+                j1 = int(to_settle.argmax())
             delta = minv[j1]
-            used_cols = np.nonzero(used[:n])[0]
-            u[col_to_row[used_cols]] += delta
-            u[i] += delta  # the virtual column is always in use and carries row i
-            v[used_cols] -= delta
-            minv[idx] -= delta
+            if tie_stop and not unmatched[j1]:
+                tie = np.equal(minv, delta, out=better)
+                tie &= unmatched
+                k = int(tie.argmax())
+                if tie[k]:
+                    j1 = k
+            np.add(u, delta, out=u, where=tree_rows)
+            np.subtract(v, delta, out=v, where=settled)
+            np.subtract(minv, delta, out=minv, where=to_settle)
             j0 = j1
-            if col_to_row[j0] == -1:
+            if unmatched[j0]:
                 break
+        unmatched[j0] = False
         while j0 != n:
             j1 = int(way[j0])
             col_to_row[j0] = col_to_row[j1]
@@ -164,7 +216,7 @@ def _phases_on_arrays(
 
 
 def _phases_on_lists(
-    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray
+    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray, tie_stop: bool
 ) -> list[int]:
     """:func:`_phases_on_arrays` one float at a time on Python lists: the same
     operations on the same operands in the same order, so the same bits,
@@ -182,6 +234,7 @@ def _phases_on_lists(
         else:
             free_rows.append(i)
     rows = cost.tolist() if free_rows else []
+    unmatched = [j for j in range(n) if col_to_row[j] == -1] if tie_stop else []
     way = [-1] * n
     for i in free_rows:
         col_to_row[n] = i
@@ -195,7 +248,7 @@ def _phases_on_lists(
                 free.remove(j0)
             i0 = col_to_row[j0]
             row, ui0 = rows[i0], uu[i0]
-            j1, delta = free[0], math.inf  # np.argmin's pick when every entry is inf
+            j1, delta = free[0], math.inf  # the array path's pick when every entry is inf
             for j in free:
                 reduced = row[j] - ui0 - vv[j]
                 if reduced < minv[j]:
@@ -203,6 +256,8 @@ def _phases_on_lists(
                     way[j] = j0
                 if minv[j] < delta:
                     j1, delta = j, minv[j]
+            if tie_stop and col_to_row[j1] != -1:
+                j1 = next((j for j in unmatched if minv[j] == delta), j1)
             for j in used:
                 uu[col_to_row[j]] += delta
                 vv[j] -= delta
@@ -212,6 +267,8 @@ def _phases_on_lists(
             j0 = j1
             if col_to_row[j0] == -1:
                 break
+        if tie_stop:
+            unmatched.remove(j0)
         while j0 != n:
             j1 = way[j0]
             col_to_row[j0] = col_to_row[j1]
@@ -286,7 +343,7 @@ def solve_assignment(cost: np.ndarray) -> Permutation:
     scale = float(np.abs(cost).max(initial=1.0))
     if not math.isfinite(12 * n * scale):  # NaN and inf fail too
         raise ValueError("cost matrix has non-finite entries or entries too large to solve")
-    row_to_col, u, v = _augmenting_path_lap(cost)
+    row_to_col, u, v = _augmenting_path_lap(cost, stop_at_unmatched_tie=True)
     tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)

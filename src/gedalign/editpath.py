@@ -146,10 +146,14 @@ def _score_block(
     d: np.ndarray, a: np.ndarray, b: np.ndarray, perms: np.ndarray, k2: float
 ) -> np.ndarray:
     """Costs of the mappings in ``perms`` (one per row) from the node-cost
-    matrix ``d`` and the raw adjacency matrices ``a`` and ``b``."""
+    matrix ``d`` and the raw adjacency matrices ``a`` and ``b``.
+
+    The edited slots are counted over whole matrices: both are symmetric, so
+    a vertex pair that differs counts twice, and graphs refuse self-loops, so
+    both diagonals are zero and add nothing; half the count is exact.
+    """
     n = d.shape[0]
-    v1, v2 = np.triu_indices(n, 1)
-    edited = (a[v1, v2] != b[perms[:, v1], perms[:, v2]]).sum(axis=1)
+    edited = np.count_nonzero(a != b[perms[:, :, None], perms[:, None, :]], axis=(1, 2)) // 2
     return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
 
 

@@ -70,6 +70,17 @@ class TestPermutation:
         assert json.dumps(perm.mapping) == "[1, 0, 2]"
 
 
+def _refined_index_order(cost: np.ndarray) -> tuple[int, ...]:
+    """``solve_assignment`` with the augmenting search's index-order stop in
+    place of its tie stop: the refine makes the mapping independent of which
+    optimum the search finds."""
+    n = cost.shape[0]
+    row_to_col, u, v = _augmenting_path_lap(cost)
+    tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * float(np.abs(cost).max(initial=1.0))
+    tight[np.arange(n), row_to_col] = True
+    return tuple(_lexicographic_refine(tight, row_to_col).tolist())
+
+
 class TestSolveAssignment:
     def test_identity_dominant_maximization(self):
         perm = solve_assignment(-np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -177,6 +188,17 @@ class TestSolveAssignment:
             "max": "9847cf3b4a9208af118cd7f1bd04b5c591380099cc24be60e9518cc6b2391622",
         }
 
+    def test_tie_stop_finds_the_index_order_mapping(self, rng):
+        for n in rng.integers(1, 61, size=40):
+            cost = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            assert solve_assignment(cost).mapping == _refined_index_order(cost)
+
+    @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
+    def test_tie_stop_finds_the_index_order_mapping_at_n350(self, family):
+        cost = family(350)
+        for c in (cost, -cost):  # minimize, then maximize
+            assert solve_assignment(c).mapping == _refined_index_order(c)
+
     def test_deterministic(self, rng):
         cost = rng.random((6, 6))
         runs = {solve_assignment(cost).mapping for _ in range(5)}
@@ -206,7 +228,7 @@ class TestSolveAssignment:
         assert np.array_equal(_lexicographic_refine(tight, (idx + 1) % n), idx)
 
 
-def _both_paths(monkeypatch, cost, v):
+def _both_paths(monkeypatch, cost, v, tie_stop):
     """``_augmenting_path_lap`` forced onto the list path, then onto the array
     path, each as (row_to_col, u bytes, v bytes); checks that neither writes
     the caller's ``v``."""
@@ -214,7 +236,7 @@ def _both_paths(monkeypatch, cost, v):
     for limit in (cost.shape[0], -1):
         monkeypatch.setattr(assignment_module, "SCALAR_MAX_ORDER", limit)
         given = None if v is None else v.copy()
-        row_to_col, u, v_out = _augmenting_path_lap(cost, given)
+        row_to_col, u, v_out = _augmenting_path_lap(cost, given, stop_at_unmatched_tie=tie_stop)
         assert v is None or given.tobytes() == v.tobytes()
         results.append((row_to_col.tolist(), u.tobytes(), v_out.tobytes()))
     return results
@@ -224,16 +246,31 @@ def _both_paths(monkeypatch, cost, v):
 CROSS_CHECK_ORDERS = [*range(17), 32, 64, SCALAR_MAX_ORDER, SCALAR_MAX_ORDER + 3]
 
 
+def _array_path_inputs():
+    """Cold and warm starts above the list border: {0,1,2} ties in both senses,
+    normals, and negated sparse matrices, whose zeros are -0.0 as in a
+    negated alignment."""
+    rng = np.random.default_rng(97128200)
+    for n in (97, 128, 200):
+        ties = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        sparse = np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
+        for cost in (ties, -ties, rng.normal(size=(n, n)), -sparse):
+            for v in (None, rng.normal(scale=3.0, size=n)):
+                yield cost, v
+
+
 class TestListPath:
-    """The list path for small orders against the array path, the reference."""
+    """The list path for small orders against the array path, the reference,
+    under both stops of the augmenting search."""
 
     def test_matches_the_array_path_bit_for_bit(self, monkeypatch, rng):
         for n in CROSS_CHECK_ORDERS:
             ties = rng.integers(0, 3, size=(n, n)).astype(np.float64)
             for cost in (ties, -ties, rng.normal(size=(n, n))):
                 for v in (None, rng.normal(scale=3.0, size=n)):
-                    lists, arrays = _both_paths(monkeypatch, cost, v)
-                    assert lists == arrays
+                    for tie_stop in (False, True):
+                        lists, arrays = _both_paths(monkeypatch, cost, v, tie_stop)
+                        assert lists == arrays
 
     @pytest.mark.parametrize("family", GREEDY_ADVERSARIAL, ids=lambda f: f.__name__[1:])
     def test_greedy_adversarial_bit_for_bit(self, monkeypatch, rng, family):
@@ -241,8 +278,27 @@ class TestListPath:
             cost = family(n)
             for c in (cost, -cost):
                 for v in (None, rng.normal(scale=3.0, size=n)):
-                    lists, arrays = _both_paths(monkeypatch, c, v)
-                    assert lists == arrays
+                    for tie_stop in (False, True):
+                        lists, arrays = _both_paths(monkeypatch, c, v, tie_stop)
+                        assert lists == arrays
+
+    @pytest.mark.parametrize(
+        "tie_stop, digest",
+        [
+            (False, "9dcd21689e304d3fa6b7ed2d2e3b38dc62b7679d501a40323573106a1b903ae5"),
+            (True, "e0245e64e62de228fd4f5638e352b73e724e4f8fc0ffd8718e9730976a2a9bee"),
+        ],
+        ids=["index-order", "tie-stop"],
+    )
+    def test_array_path_bits_pinned_above_the_border(self, monkeypatch, tie_stop, digest):
+        # recorded from the array path that gathered and scattered by index,
+        # before it moved to boolean masks; the list path gives the same
+        monkeypatch.setattr(assignment_module, "SCALAR_MAX_ORDER", -1)
+        h = hashlib.sha256()
+        for cost, v in _array_path_inputs():
+            for part in _augmenting_path_lap(cost, v, stop_at_unmatched_tie=tie_stop):
+                h.update(part.tobytes())
+        assert h.hexdigest() == digest
 
     def test_order_alone_picks_the_path(self, monkeypatch):
         taken = []
