@@ -131,6 +131,10 @@ def _augmenting_path_lap(
     slackness. Every scan over columns runs in index order with
     strict-improvement comparisons, so the outcome is deterministic. The
     caller's ``v`` is not written.
+
+    Every reduced cost must stay finite (:func:`solve_assignment` refuses
+    costs that might not; the ``costs`` docstring bounds the gradients), so
+    a search's root row gives every column left to settle a finite distance.
     """
     n = cost.shape[0]
     # initial=inf lets an empty matrix through and changes no other minimum
@@ -192,8 +196,6 @@ def _phases_on_arrays(
             np.copyto(minv, reduced, where=better)
             np.copyto(way, j0, where=better)
             j1 = int(minv.argmin())
-            if not to_settle[j1]:  # every entry is inf: take the first column left
-                j1 = int(to_settle.argmax())
             delta = minv[j1]
             if tie_stop and not unmatched[j1]:
                 tie = np.equal(minv, delta, out=better)
@@ -248,7 +250,7 @@ def _phases_on_lists(
                 free.remove(j0)
             i0 = col_to_row[j0]
             row, ui0 = rows[i0], uu[i0]
-            j1, delta = free[0], math.inf  # the array path's pick when every entry is inf
+            j1, delta = free[0], math.inf  # replaced below: every free minv is finite
             for j in free:
                 reduced = row[j] - ui0 - vv[j]
                 if reduced < minv[j]:

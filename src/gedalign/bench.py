@@ -9,14 +9,17 @@ Corpus directory layout::
       graphs/<id>_b.json    # second graph of each case
 
 Report artifacts: a CSV with one row per pair
-(``id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms``)
+(``id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,error,wall_ms``)
 and an aggregate JSON (``mae``, ``si``, ``certified_share``, ``pairs``,
 ``failures``, ``total_ms``). ``inner_steps`` is the solve's Frank–Wolfe step
-count over all rounds, ``certified`` whether it ended ``certified_optimal``.
+count over all rounds, ``certified`` whether it ended ``certified_optimal``,
+and ``error`` why a failed pair failed.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import multiprocessing
 import sys
@@ -343,28 +346,30 @@ def _cell(value: object) -> str:
 
 
 def report_to_csv(report: BenchReport) -> str:
-    lines = [
-        "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms"
-    ]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a cell holding a comma
+    writer.writerow(
+        "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,"
+        "error,wall_ms".split(",")
+    )
     for r in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    r.case_id,
-                    str(r.n1),
-                    str(r.n2),
-                    _cell(r.true_ged),
-                    _cell(r.estimated_ged),
-                    _cell(r.abs_err),
-                    _cell(r.exact_match),
-                    str(r.rounds),
-                    str(r.inner_steps),
-                    _cell(r.certified),
-                    f"{r.wall_ms:.3f}",
-                )
+        writer.writerow(
+            (
+                r.case_id,
+                str(r.n1),
+                str(r.n2),
+                _cell(r.true_ged),
+                _cell(r.estimated_ged),
+                _cell(r.abs_err),
+                _cell(r.exact_match),
+                str(r.rounds),
+                str(r.inner_steps),
+                _cell(r.certified),
+                _cell(r.error),
+                f"{r.wall_ms:.3f}",
             )
         )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()
 
 
 def report_to_aggregate_json(report: BenchReport) -> str:

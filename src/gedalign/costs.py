@@ -28,14 +28,13 @@ for any ``n`` that fits in memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import IO, AbstractSet, Mapping
 
 import numpy as np
 
 from .errors import CostModelError
-from .graphs import GraphPair
+from .graphs import GraphPair, _load_json_object
 
 BUILTIN_SETTINGS = ("case1", "case2", "case3")
 
@@ -188,18 +187,7 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
     are per-label overrides. Substitution pairs are ordered; missing pairs fall
     back to the declared default.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        doc = json.loads(data)
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
-        raise CostModelError(f"cost JSON parse error: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CostModelError("cost document must be a JSON object")
+    doc = _load_json_object(source, CostModelError, "cost")
     if "edge_cost_squared" not in doc:
         raise CostModelError("cost document missing 'edge_cost_squared'")
 

@@ -24,8 +24,10 @@ The oracle, ``exact_ged``, is a depth-first branch and bound over partial
 mappings that returns the first cheapest mapping in lexicographic order,
 bit for bit what scoring all ``n!`` mappings in that order would return. Its
 running time depends on the pair: at padded order 9, from under a
-millisecond to about 0.2 s on the pairs measured, where scoring all ``n!``
-mappings took about 0.45 s on every pair.
+millisecond to about 2 s on the pairs measured, where scoring all ``n!``
+mappings took about 0.45 s on every pair. The slowest is the complement of
+the 9-cycle onto the path under fractional costs, whose many mappings tied
+in exact arithmetic must all be scored.
 """
 
 from __future__ import annotations
@@ -294,17 +296,18 @@ def _branch_and_bound(
 
     For a partial mapping ``pi`` let ``c[v, w] = d[v, w] + k2 * #{assigned u :
     a[v, u] != b[w, pi(u)]}`` over the free rows and columns. Every completion
-    pays the partial mapping's own cost, at least the larger of the sums of
-    the row minima and of the column minima of ``c``, and ``k2`` times at
-    least ``| |E_a(free rows)| - |E_b(free columns)| |`` for the slots between
-    free nodes. A child is expanded only while that bound leaves room for a
-    cheaper completion. When :func:`_sums_are_exact`, every sum is exact and
-    a bound equal to the best prunes. Otherwise the bound and a mapping's
-    cost round differently. All terms are nonnegative and total at most
-    ``S = d.sum() + k2 * n**2``; the bound takes at most ``2n + 3`` roundings
-    and a mapping's cost ``n + 1``, so the bound prunes only above the best
-    plus ``8 * n**2 * 2**-52 * S``, which covers both errors and the rounding
-    of that sum.
+    pays the partial mapping's own cost, at least the sum of the row minima
+    of ``c``, and ``k2`` times at least ``| |E_a(free rows)| - |E_b(free
+    columns)| |`` for the slots between free nodes; the column minima bound
+    it too, but their pass costs more than its pruning saves. A child is
+    expanded only while that bound leaves room for a cheaper completion.
+    When :func:`_sums_are_exact`, every sum is exact and a bound equal to the
+    best prunes. Otherwise the bound and a mapping's cost round differently.
+    All terms are nonnegative and total at most ``S = d.sum() + k2 * n**2``;
+    the bound takes at most ``2n + 3`` roundings and a mapping's cost
+    ``n + 1``, so the bound prunes only above the best plus
+    ``8 * n**2 * 2**-52 * S``, which covers both errors and the rounding of
+    that sum.
 
     A child is also skipped when each of its completions has an earlier
     mapping of the same cost, bit for bit, so the first cheapest mapping
@@ -381,9 +384,6 @@ def _branch_and_bound(
             row[x] = math.inf
             child_rows.append(row)
         rest = sum(map(min, child_rows))
-        if len(child_rows) > 1:
-            col_min = list(map(min, *child_rows))
-            rest = max(rest, sum([col_min[w] for w in child_free]))
         edge_gap = abs(edges_a_from[k + 1] - child_edges_b)
         bound = child_sum + k2 * child_edited + rest + k2 * edge_gap
         if bound < cutoff:

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GedError, GraphFormatError
 
 
 @dataclass(frozen=True)
@@ -131,23 +131,27 @@ def adjacency(g: LabeledGraph, order: int) -> np.ndarray:
     return a
 
 
-def load_graph(source: bytes | str | IO) -> LabeledGraph:
-    """Parse and validate a graph document (bytes, text, or a readable stream).
-
-    Every violation is reported with the offending location.
-    """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
+def _load_json_object(source: bytes | str | IO, error: type[GedError], what: str) -> dict:
+    """The JSON object in ``source`` (bytes, text, or a readable stream);
+    anything else raises ``error``, naming the document ``what``."""
+    data = source.read() if hasattr(source, "read") else source
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         doc = json.loads(data)
     except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
-        raise GraphFormatError(f"graph JSON parse error: {exc}") from exc
+        raise error(f"{what} JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
+        raise error(f"{what} document must be a JSON object")
+    return doc
+
+
+def load_graph(source: bytes | str | IO) -> LabeledGraph:
+    """Parse and validate a graph document (bytes, text, or a readable stream).
+
+    Every violation is reported with the offending location.
+    """
+    doc = _load_json_object(source, GraphFormatError, "graph")
     for key in ("nodes", "edges"):
         if key not in doc:
             raise GraphFormatError(f"graph document missing {key!r}")

@@ -1,5 +1,6 @@
 """Corpus generation, batch evaluation, metrics, and report artifacts."""
 
+import csv
 import json
 
 import pytest
@@ -192,12 +193,21 @@ class TestReportArtifacts:
         text = report_to_csv(self.REPORT)
         lines = text.strip().split("\n")
         assert lines[0] == (
-            "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,wall_ms"
+            "id,n1,n2,true_ged,estimated_ged,abs_err,exact_match,rounds,inner_steps,certified,"
+            "error,wall_ms"
         )
-        assert lines[1] == "a,3,3,2.0,3.0,1.0,0,4,120,0,12.500"
-        assert lines[2] == "b,2,2,1.0,1.0,0.0,1,4,8,1,8.250"
-        assert lines[3] == "c,2,2,,1.0,,,4,16,1,8.000"
-        assert lines[4] == "d,2,2,1.0,,,,0,0,,1.000"
+        assert lines[1] == "a,3,3,2.0,3.0,1.0,0,4,120,0,,12.500"
+        assert lines[2] == "b,2,2,1.0,1.0,0.0,1,4,8,1,,8.250"
+        assert lines[3] == "c,2,2,,1.0,,,4,16,1,,8.000"
+        assert lines[4] == "d,2,2,1.0,,,,0,0,,boom,1.000"
+
+    def test_csv_quotes_a_cell_with_a_comma(self):
+        row = BenchRow("e,1", 1, 1, None, None, None, None, 0, 0, None, 2.0, error='x: "a, b"')
+        report = BenchReport(
+            rows=(row,), mae=None, si=None, certified_share=None, failures=1, total_ms=2.0
+        )
+        cells = next(csv.reader(report_to_csv(report).split("\n")[1:]))
+        assert cells[0] == "e,1" and cells[-2:] == ['x: "a, b"', "2.000"]
 
     def test_aggregate_json(self):
         doc = json.loads(report_to_aggregate_json(self.REPORT))

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior and exit codes."""
 
+import csv
 import json
 
 import pytest
 
 import gedalign.bench as bench_module
-from gedalign import load_graph, make_graph, save_graph
+from gedalign import load_graph, make_graph, save_graph, write_corpus
+from gedalign.bench import PairCase
 from gedalign.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -221,7 +223,7 @@ class TestGenAndBench:
         csv_lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 11
         header = csv_lines[0].split(",")
-        assert header[-3:] == ["inner_steps", "certified", "wall_ms"]
+        assert header[-4:] == ["inner_steps", "certified", "error", "wall_ms"]
         certified = [line.split(",")[header.index("certified")] for line in csv_lines[1:]]
         assert set(certified) <= {"0", "1"}
         agg = json.loads((tmp_path / "report.json").read_text())
@@ -264,6 +266,25 @@ class TestGenAndBench:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
         assert solved == []
+
+    def test_failing_pair_keeps_its_row_and_error(self, tmp_path, capsys):
+        # case2 prices a substitution by label distance, so a pair with
+        # non-integer labels fails alone and the run goes on
+        cases = [
+            PairCase("ints", make_graph(["1", "2"], [(0, 1)]), make_graph(["1", "3"], [])),
+            PairCase("words", make_graph(["x", "y"], [(0, 1)]), make_graph(["x", "z"], [])),
+        ]
+        write_corpus(cases, tmp_path / "corpus")
+        out = tmp_path / "report"
+        code = main(["bench", str(tmp_path / "corpus"), "--cost", "case2", "--out", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pairs"] == 2 and summary["failures"] == 1
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        rows = {row["id"]: row for row in csv.DictReader(lines)}
+        assert rows["ints"]["error"] == "" and rows["ints"]["estimated_ged"]
+        assert rows["words"]["estimated_ged"] == ""
+        assert rows["words"]["error"].startswith("CostModelError: label 'x' is not an integer id")
 
     def test_bench_invalid_corpus(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path), "--cost", "case3"])
