@@ -236,7 +236,6 @@ def _phases_on_lists(
         else:
             free_rows.append(i)
     rows = cost.tolist() if free_rows else []
-    unmatched = [j for j in range(n) if col_to_row[j] == -1] if tie_stop else []
     way = [-1] * n
     for i in free_rows:
         col_to_row[n] = i
@@ -259,7 +258,7 @@ def _phases_on_lists(
                 if minv[j] < delta:
                     j1, delta = j, minv[j]
             if tie_stop and col_to_row[j1] != -1:
-                j1 = next((j for j in unmatched if minv[j] == delta), j1)
+                j1 = next((j for j in free if minv[j] == delta and col_to_row[j] == -1), j1)
             for j in used:
                 uu[col_to_row[j]] += delta
                 vv[j] -= delta
@@ -269,8 +268,6 @@ def _phases_on_lists(
             j0 = j1
             if col_to_row[j0] == -1:
                 break
-        if tie_stop:
-            unmatched.remove(j0)
         while j0 != n:
             j1 = way[j0]
             col_to_row[j0] = col_to_row[j1]

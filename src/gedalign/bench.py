@@ -215,6 +215,10 @@ def generate_pairs(
         raise ValueError(f"invalid node range {n_range}")
     if edit_range[0] < 0 or edit_range[1] < edit_range[0]:
         raise ValueError(f"invalid edit range {edit_range}")
+    if not 0 <= edge_prob <= 1:  # NaN fails too
+        raise ValueError(f"edge probability must be in [0, 1], got {edge_prob}")
+    if count < 0:
+        raise ValueError(f"invalid count {count}")
     rng = np.random.default_rng(seed)
     cases: list[PairCase] = []
     for index in range(count):
@@ -225,13 +229,11 @@ def generate_pairs(
         edges = set(base_edges)
         origin_of: list[int | None] = list(range(n1))
         k = int(rng.integers(edit_range[0], edit_range[1] + 1))
-        applied = 0
         for _ in range(k):
             for _ in range(_EDIT_RETRIES):
                 if _apply_random_edit(
                     rng, node_labels, edges, origin_of, label_alphabet, max_order
                 ):
-                    applied += 1
                     break
             else:
                 raise GedError(
@@ -250,7 +252,7 @@ def generate_pairs(
                 g1=g1,
                 g2=g2,
                 true_ged=true_ged,
-                applied_edits=applied,
+                applied_edits=k,
                 applied_cost=applied_cost,
             )
         )
@@ -317,19 +319,15 @@ def run_bench(
     total_ms = (time.perf_counter() - start) * 1000.0
     solved = [r for r in rows if r.error is None]
     scored = [r for r in solved if r.true_ged is not None]
-    mae = None
-    si = None
-    certified_share = None
-    if scored:
-        mae = sum(r.abs_err for r in scored) / len(scored)
-        si = sum(1 for r in scored if r.exact_match) / len(scored)
-    if solved:
-        certified_share = sum(1 for r in solved if r.certified) / len(solved)
+
+    def mean(values: list) -> float | None:
+        return sum(values) / len(values) if values else None
+
     return BenchReport(
         rows=tuple(rows),
-        mae=mae,
-        si=si,
-        certified_share=certified_share,
+        mae=mean([r.abs_err for r in scored]),
+        si=mean([r.exact_match for r in scored]),
+        certified_share=mean([r.certified for r in solved]),
         failures=len(rows) - len(solved),
         total_ms=total_ms,
     )

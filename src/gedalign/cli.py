@@ -40,12 +40,13 @@ def _configure_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
 
 
-def _add_cost_option(parser: argparse.ArgumentParser) -> None:
+def _add_cost_option(parser: argparse.ArgumentParser, default: str | None = "case3") -> None:
     parser.add_argument(
         "--cost",
-        default="case3",
+        default=default,
         metavar="SETTING",
-        help="case1 | case2 | case3 | file:PATH (default: case3)",
+        help="case1 | case2 | case3 | file:PATH (default: "
+        f"{default or 'the setting the corpus records, else case3'})",
     )
 
 
@@ -193,10 +194,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _recorded_cost(corpus: str) -> str | None:
+    """The cost setting ``gen`` recorded in a corpus's index, if any; call
+    after :func:`load_corpus` has checked the index."""
+    index = json.loads((Path(corpus) / "index.json").read_text(encoding="utf-8"))
+    params = index.get("params")
+    cost = params.get("cost") if isinstance(params, dict) else None
+    return cost if isinstance(cost, str) else None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
-        cm = _load_cost(args.cost)
         cases = load_corpus(args.corpus)
+        recorded = _recorded_cost(args.corpus)
+        if args.cost is None:
+            args.cost = "case3" if recorded is None else recorded
+        elif recorded is not None and args.cost != recorded:
+            raise ValueError(f"--cost {args.cost} differs from the corpus's cost {recorded}")
+        cm = _load_cost(args.cost)
         cfg = _solver_config(args)
         # open the outputs before the run: failing to write them afterwards would lose it
         prefix = Path(args.out)
@@ -260,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the estimator over a corpus directory")
     p_bench.add_argument("corpus")
-    _add_cost_option(p_bench)
+    _add_cost_option(p_bench, default=None)
     _add_solver_options(p_bench)
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument(

@@ -191,8 +191,8 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
     if "edge_cost_squared" not in doc:
         raise CostModelError("cost document missing 'edge_cost_squared'")
 
-    def _table(section: str) -> tuple[float, dict[str, float]]:
-        raw = doc.get(section)
+    def _table(section: str, missing: dict | None = None) -> tuple[float, dict]:
+        raw = doc.get(section, missing)
         if not isinstance(raw, dict) or "default" not in raw:
             raise CostModelError(f"{section!r} must be an object with a 'default' cost")
         table = {k: v for k, v in raw.items() if k != "default"}
@@ -200,10 +200,8 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
 
     insert_default, insert_costs = _table("node_insert")
     delete_default, delete_costs = _table("node_delete")
-    sub_raw = doc.get("node_substitute", {"default": 0.0})
-    if not isinstance(sub_raw, dict) or "default" not in sub_raw:
-        raise CostModelError("'node_substitute' must be an object with a 'default' cost")
-    raw_pairs = sub_raw.get("pairs", [])
+    substitute_default, sub_table = _table("node_substitute", {"default": 0.0})
+    raw_pairs = sub_table.get("pairs", [])
     if not isinstance(raw_pairs, list):
         raise CostModelError("'node_substitute.pairs' must be a list")
     sub_pairs: dict[tuple[str, str], float] = {}
@@ -222,7 +220,7 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
         edge_cost_squared=doc["edge_cost_squared"],
         insert_default=insert_default,
         delete_default=delete_default,
-        substitute_default=sub_raw["default"],
+        substitute_default=substitute_default,
         insert_costs=insert_costs,
         delete_costs=delete_costs,
         substitute_costs=sub_pairs,

@@ -96,6 +96,21 @@ class TestGeneratePairs:
         with pytest.raises(ValueError, match="edit range"):
             generate_pairs(1, 1, (2, 3), (2, 1), ALPHABET, CM3)
 
+    @pytest.mark.parametrize("edge_prob", [1.5, -0.2, float("nan")])
+    def test_rejects_edge_probability_outside_unit_interval(self, edge_prob):
+        # 1.5 would write complete graphs, -0.2 and NaN edgeless ones
+        with pytest.raises(ValueError, match="edge probability"):
+            generate_pairs(1, 1, (2, 3), (0, 1), ALPHABET, CM3, edge_prob=edge_prob)
+
+    def test_accepts_edge_probability_at_both_ends(self):
+        for edge_prob, edges in ((0.0, 0), (1.0, 3)):
+            (case,) = generate_pairs(1, 1, (3, 3), (0, 0), ALPHABET, CM3, edge_prob=edge_prob)
+            assert len(case.g1.edges) == edges
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="count"):
+            generate_pairs(1, -3, (2, 3), (0, 1), ALPHABET, CM3)
+
 
 class TestRunBench:
     def test_aggregates_on_easy_corpus(self):

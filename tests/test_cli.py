@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gedalign
 import gedalign.bench as bench_module
 from gedalign import load_graph, make_graph, save_graph, write_corpus
 from gedalign.bench import PairCase
@@ -301,12 +306,72 @@ class TestGenAndBench:
         assert code == EXIT_INPUT
         assert "'true_ged'" in capsys.readouterr().err
 
+    def test_bench_defaults_to_the_cost_the_corpus_records(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["gen", "--seed", "5", "--count", "6", "--n-min", "3", "--n-max", "5",
+              "--cost", "case1", "--out", str(corpus)])
+        assert main(["bench", str(corpus), "--out", str(tmp_path / "default")]) == EXIT_OK
+        assert main(["bench", str(corpus), "--cost", "case1", "--out", str(tmp_path / "case1")]) == EXIT_OK
+        capsys.readouterr()
+
+        def rows(name):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(lines)]
+
+        assert rows("default") == rows("case1") and len(rows("default")) == 6
+
+    def test_bench_refuses_a_cost_other_than_the_recorded_one(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["gen", "--seed", "5", "--count", "2", "--n-min", "3", "--n-max", "4",
+              "--cost", "case1", "--out", str(corpus)])
+        capsys.readouterr()
+        code = main(["bench", str(corpus), "--cost", "case3", "--out", str(tmp_path / "report")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "case3" in err and "case1" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_gen_refuses_nan_edge_probability(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        code = main(["gen", "--seed", "3", "--count", "2", "--edge-prob", "nan", "--out", str(corpus)])
+        assert code == EXIT_INPUT
+        assert "edge probability" in capsys.readouterr().err
+        assert not (corpus / "index.json").exists()
+
     def test_generated_graphs_load_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         main(["gen", "--seed", "3", "--count", "3", "--out", str(corpus)])
         capsys.readouterr()
         for path in sorted((corpus / "graphs").glob("*.json")):
             load_graph(path.read_text())
+
+
+def _run_estimate(graph_files, env):
+    src = Path(gedalign.__file__).resolve().parents[1]
+    env = dict(env, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "gedalign.cli", "estimate", graph_files["triangle"], graph_files["path3"]],
+        env=env, capture_output=True, text=True,
+    )
+
+
+class TestLogging:
+    # logging.basicConfig configures a process once, so each run gets its own
+    def test_trace_logs_one_line_per_round(self, graph_files):
+        run = _run_estimate(graph_files, dict(os.environ, GED_LOG="trace"))
+        assert run.returncode == EXIT_OK, run.stderr
+        trace = json.loads(run.stdout)["trace"]
+        lines = run.stderr.splitlines()
+        assert len(lines) == len(trace) >= 1
+        for line, rec in zip(lines, trace):
+            assert line.startswith(f"gedalign.solver: round {rec['round']}: ")
+
+    def test_silent_without_ged_log(self, graph_files):
+        env = {k: v for k, v in os.environ.items() if k != "GED_LOG"}
+        run = _run_estimate(graph_files, env)
+        assert run.returncode == EXIT_OK
+        assert run.stderr == ""
+        assert json.loads(run.stdout)["trace"]
 
 
 class TestFlagWiring:

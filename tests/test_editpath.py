@@ -343,6 +343,27 @@ class TestExactGed:
                 h.update(repr((result.ged, result.optimal_mapping.mapping)).encode())
         assert h.hexdigest() == "958c7ed81c14376a30f51a1937932b3da774dbbf46dce5a99ce8b00bc28133da"
 
+    def test_pinned_outputs_over_labelled_padded_pairs_under_per_label_costs(self):
+        # 48 pairs of orders 8-9 over three labels, 16 of them padded, under
+        # per-label insertion, deletion and substitution prices: sums are
+        # inexact, so the bound prunes only past its rounding margin. A search
+        # with no margin (cutoff = best) gives the same digest, so this pins
+        # the outputs on this input class but not the margin itself
+        cm = CostModel(
+            0.7, 1.3, 0.9, 0.45,
+            insert_costs={"0": 1.1, "1": 0.3},
+            delete_costs={"2": 0.7},
+            substitute_costs={("0", "1"): 0.2, ("1", "0"): 0.6, ("2", "0"): 0.15},
+        )
+        h = hashlib.sha256()
+        for seed in (20240501, 31337):
+            for case in generate_pairs(
+                seed, 24, (8, 9), (2, 6), ("0", "1", "2"), cm, max_order=9, oracle_budget=0
+            ):
+                result = exact_ged(case.g1, case.g2, cm)
+                h.update(repr((result.ged, result.optimal_mapping.mapping)).encode())
+        assert h.hexdigest() == "11e07db34c2c29ed0ad37624f7a1be954c5fd7d7360e99d5f01620d780bed5a2"
+
 
 class TestLowerBound:
     def test_row_column_and_edge_terms(self):
