@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import sys
@@ -35,6 +36,7 @@ from .costs import CostModel
 from .editpath import DEFAULT_NODE_BUDGET, exact_ged, ged_under_mapping
 from .errors import CorpusFormatError, GedError
 from .graphs import LabeledGraph, load_graph, make_graph, pad_pair, save_graph
+from .graphs import _dump_json, _load_json_object
 from .solver import CERTIFIED_OPTIMAL, SolverConfig, estimate_ged
 
 #: SI counts a pair as solved exactly when |estimate - truth| is at most this.
@@ -87,13 +89,9 @@ def _random_graph(
     rng: np.random.Generator, n: int, labels: tuple[str, ...], edge_prob: float
 ) -> tuple[list[str], set[tuple[int, int]]]:
     node_labels = [labels[int(rng.integers(len(labels)))] for _ in range(n)]
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_prob
-    }
-    return node_labels, edges
+    coins = rng.random(n * (n - 1) // 2)  # one per vertex pair, in lexicographic order
+    pairs = itertools.combinations(range(n), 2)
+    return node_labels, {pair for pair, coin in zip(pairs, coins) if coin < edge_prob}
 
 
 def _apply_random_edit(
@@ -113,50 +111,39 @@ def _apply_random_edit(
     n = len(node_labels)
     roll = rng.random()
     if roll < 0.6:
-        kind = "edge_add" if rng.random() < 0.5 else "edge_remove"
-    elif roll < 0.8:
-        kind = "node_add" if rng.random() < 0.5 else "node_remove"
-    else:
-        kind = "relabel"
-
-    if kind == "edge_add":
-        absent = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges
-        ]
-        if not absent:
-            return False
-        edges.add(absent[int(rng.integers(len(absent)))])
-        return True
-    if kind == "edge_remove":
-        if not edges:
+        if rng.random() < 0.5:  # add an edge
+            absent = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges
+            ]
+            if not absent:
+                return False
+            edges.add(absent[int(rng.integers(len(absent)))])
+            return True
+        if not edges:  # remove an edge
             return False
         pool = sorted(edges)
         edges.remove(pool[int(rng.integers(len(pool)))])
         return True
-    if kind == "node_add":
-        if max_order is not None and n >= max_order:
-            return False
-        node_labels.append(labels[int(rng.integers(len(labels)))])
-        origin_of.append(None)
-        return True
-    if kind == "node_remove":
-        if n == 0:
+    if roll < 0.8:
+        if rng.random() < 0.5:  # add a node
+            if max_order is not None and n >= max_order:
+                return False
+            node_labels.append(labels[int(rng.integers(len(labels)))])
+            origin_of.append(None)
+            return True
+        if n == 0:  # remove a node
             return False
         victim = int(rng.integers(n))
         del node_labels[victim]
         del origin_of[victim]
-        remapped = set()
-        for i, j in edges:
-            if i == victim or j == victim:
-                continue
-            a = i - 1 if i > victim else i
-            b = j - 1 if j > victim else j
-            remapped.add((min(a, b), max(a, b)))
+        # shifting both endpoints past the victim down by one keeps i < j
+        remapped = {
+            (i - (i > victim), j - (j > victim)) for i, j in edges if victim not in (i, j)
+        }
         edges.clear()
         edges.update(remapped)
         return True
-    # relabel
-    if n == 0:
+    if n == 0:  # relabel a node
         return False
     victim = int(rng.integers(n))
     choices = [lab for lab in labels if lab != node_labels[victim]]
@@ -176,12 +163,8 @@ def _provenance_mapping(
     remaining inserted nodes. Everything is filled in ascending index order.
     """
     order = max(n1, n2)
-    image: dict[int, int] = {}
-    taken: set[int] = set()
-    for j, orig in enumerate(origin_of):
-        if orig is not None:
-            image[orig] = j
-            taken.add(j)
+    image = {orig: j for j, orig in enumerate(origin_of) if orig is not None}
+    taken = set(image.values())
     free_targets = [j for j in range(order) if j not in taken]  # g2-side slots
     free_sources = [i for i in range(order) if i not in image]  # deleted + padding
     for src, dst in zip(free_sources, free_targets):
@@ -213,6 +196,8 @@ def generate_pairs(
         raise ValueError("label alphabet must not be empty")
     if n_range[0] < 0 or n_range[1] < n_range[0]:
         raise ValueError(f"invalid node range {n_range}")
+    if max_order is not None and n_range[1] > max_order:
+        raise ValueError(f"node range {n_range} exceeds max order {max_order}")
     if edit_range[0] < 0 or edit_range[1] < edit_range[0]:
         raise ValueError(f"invalid edit range {edit_range}")
     if not 0 <= edge_prob <= 1:  # NaN fails too
@@ -223,10 +208,8 @@ def generate_pairs(
     cases: list[PairCase] = []
     for index in range(count):
         n1 = int(rng.integers(n_range[0], n_range[1] + 1))
-        base_labels, base_edges = _random_graph(rng, n1, label_alphabet, edge_prob)
-        g1 = make_graph(base_labels, sorted(base_edges))
-        node_labels = list(base_labels)
-        edges = set(base_edges)
+        node_labels, edges = _random_graph(rng, n1, label_alphabet, edge_prob)
+        g1 = make_graph(node_labels, edges)  # a copy: the edits below mutate both parts
         origin_of: list[int | None] = list(range(n1))
         k = int(rng.integers(edit_range[0], edit_range[1] + 1))
         for _ in range(k):
@@ -239,7 +222,7 @@ def generate_pairs(
                 raise GedError(
                     f"case {index}: could not apply an edit after {_EDIT_RETRIES} tries"
                 )
-        g2 = make_graph(node_labels, sorted(edges))
+        g2 = make_graph(node_labels, edges)
         pair = pad_pair(g1, g2)
         mapping = _provenance_mapping(g1.order, g2.order, origin_of)
         applied_cost = ged_under_mapping(pair, mapping, cm)
@@ -409,10 +392,7 @@ def write_corpus(
             }
         )
     index = {"seed": seed, "params": params or {}, "cases": index_cases}
-    (out / "index.json").write_text(
-        json.dumps(index, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    (out / "index.json").write_text(_dump_json(index), encoding="utf-8")
 
 
 def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
@@ -421,11 +401,8 @@ def load_corpus(corpus_dir: str | Path) -> list[PairCase]:
     index_path = root / "index.json"
     if not index_path.is_file():
         raise CorpusFormatError(f"missing corpus index: {index_path}")
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise CorpusFormatError(f"corpus index parse error: {exc}") from exc
-    if not isinstance(index, dict) or not isinstance(index.get("cases"), list):
+    index = _load_json_object(index_path.read_bytes(), CorpusFormatError, "corpus index")
+    if not isinstance(index.get("cases"), list):
         raise CorpusFormatError("corpus index must contain a 'cases' array")
     cases: list[PairCase] = []
     for pos, entry in enumerate(index["cases"]):

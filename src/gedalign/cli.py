@@ -24,8 +24,8 @@ from .bench import (
 )
 from .costs import CostModel, builtin_cost_model, load_cost_model
 from .editpath import DEFAULT_NODE_BUDGET, EditPath, exact_ged, extract_edit_path
-from .errors import BudgetExceededError, GedError
-from .graphs import GraphPair, LabeledGraph, load_graph, pad_pair
+from .errors import BudgetExceededError, CorpusFormatError, GedError
+from .graphs import GraphPair, LabeledGraph, _dump_json, _load_json_object, load_graph, pad_pair
 from .solver import SolveReport, SolverConfig, estimate_ged
 
 EXIT_OK = 0
@@ -71,9 +71,11 @@ def _load_cost(selector: str) -> CostModel:
     return builtin_cost_model(selector)
 
 
-def _load_graph_file(path: str) -> LabeledGraph:
-    with open(path, "rb") as handle:
-        return load_graph(handle)
+def _load_inputs(args: argparse.Namespace) -> tuple[CostModel, LabeledGraph, LabeledGraph]:
+    """The cost model, then the two graphs, that ``estimate`` and ``exact`` read."""
+    cm = _load_cost(args.cost)
+    g1, g2 = (load_graph(Path(path).read_bytes()) for path in (args.graph1, args.graph2))
+    return cm, g1, g2
 
 
 def _mapping_json(pair: GraphPair, mapping: tuple[int, ...]) -> list[dict]:
@@ -111,7 +113,7 @@ def _report_json(pair: GraphPair, report: SolveReport) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    text = _dump_json(doc)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -120,9 +122,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
-        cm = _load_cost(args.cost)
-        g1 = _load_graph_file(args.graph1)
-        g2 = _load_graph_file(args.graph2)
+        cm, g1, g2 = _load_inputs(args)
         cfg = _solver_config(args)
     except (OSError, GedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -138,9 +138,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     try:
-        cm = _load_cost(args.cost)
-        g1 = _load_graph_file(args.graph1)
-        g2 = _load_graph_file(args.graph2)
+        cm, g1, g2 = _load_inputs(args)
     except (OSError, GedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -197,7 +195,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _recorded_cost(corpus: str) -> str | None:
     """The cost setting ``gen`` recorded in a corpus's index, if any; call
     after :func:`load_corpus` has checked the index."""
-    index = json.loads((Path(corpus) / "index.json").read_text(encoding="utf-8"))
+    index_bytes = (Path(corpus) / "index.json").read_bytes()
+    index = _load_json_object(index_bytes, CorpusFormatError, "corpus index")
     params = index.get("params")
     cost = params.get("cost") if isinstance(params, dict) else None
     return cost if isinstance(cost, str) else None

@@ -146,6 +146,11 @@ def _load_json_object(source: bytes | str | IO, error: type[GedError], what: str
     return doc
 
 
+def _dump_json(doc: dict) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
 def load_graph(source: bytes | str | IO) -> LabeledGraph:
     """Parse and validate a graph document (bytes, text, or a readable stream).
 
@@ -182,4 +187,4 @@ def save_graph(g: LabeledGraph) -> str:
         "nodes": [{"id": i, "label": label} for i, label in enumerate(g.labels)],
         "edges": [list(edge) for edge in g.edges],
     }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return _dump_json(doc)

@@ -1,6 +1,7 @@
 """Corpus generation, batch evaluation, metrics, and report artifacts."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,31 @@ class TestGeneratePairs:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
             generate_pairs(1, -3, (2, 3), (0, 1), ALPHABET, CM3)
+
+    def test_rejects_base_order_above_max_order(self):
+        # base graphs of order 6 and 7 would be written under a recorded max order of 4
+        with pytest.raises(ValueError, match="max order"):
+            generate_pairs(1, 3, (6, 7), (0, 2), ALPHABET, CM3, max_order=4)
+
+    def test_pinned_output_bytes(self):
+        # every edit branch runs, its refusals included: one label (no relabel),
+        # orders at max_order (no node insertion), empty and complete graphs
+        h = hashlib.sha256()
+        for setting in ("case1", "case2", "case3"):
+            cm = builtin_cost_model(setting)
+            for seed in range(6):
+                for n_range, edit_range, labels, max_order, edge_prob in (
+                    ((0, 6), (0, 12), ("0", "1"), None, 0.3),
+                    ((3, 9), (5, 20), ("0",), 9, 0.6),
+                    ((5, 8), (0, 2), ("0", "1", "2", "3"), 8, 0.3),
+                    ((1, 4), (10, 30), ("1", "2", "3"), 6, 0.9),
+                ):
+                    cases = generate_pairs(
+                        seed, 10, n_range, edit_range, labels, cm,
+                        edge_prob=edge_prob, max_order=max_order, oracle_budget=7,
+                    )
+                    h.update(repr(cases).encode())
+        assert h.hexdigest() == "7413d5b1d78b159c09aad1a37fea802f5d1df592a2e1ea7abcf4c6cae29ff103"
 
 
 class TestRunBench:
@@ -279,6 +305,16 @@ class TestCorpusIO:
     def test_index_integer_past_the_digit_limit(self, tmp_path):
         # json refuses to convert an integer literal of more than 4300 digits
         (tmp_path / "index.json").write_text('{"cases": [], "seed": 1' + "0" * 5000 + "}")
+        with pytest.raises(CorpusFormatError, match="parse error"):
+            load_corpus(tmp_path)
+
+    def test_index_not_an_object(self, tmp_path):
+        (tmp_path / "index.json").write_text("[]")
+        with pytest.raises(CorpusFormatError, match="must be a JSON object"):
+            load_corpus(tmp_path)
+
+    def test_index_not_utf8(self, tmp_path):
+        (tmp_path / "index.json").write_bytes(b"\xff{}")
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
 

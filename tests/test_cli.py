@@ -338,6 +338,14 @@ class TestGenAndBench:
         assert "edge probability" in capsys.readouterr().err
         assert not (corpus / "index.json").exists()
 
+    def test_gen_refuses_n_max_above_max_order(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        code = main(["gen", "--seed", "1", "--count", "3", "--n-min", "6", "--n-max", "7",
+                     "--max-order", "4", "--out", str(corpus)])
+        assert code == EXIT_INPUT
+        assert "max order" in capsys.readouterr().err
+        assert not (corpus / "index.json").exists()
+
     def test_generated_graphs_load_cleanly(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         main(["gen", "--seed", "3", "--count", "3", "--out", str(corpus)])
