@@ -44,11 +44,16 @@ arrays win from about 64.
 Determinism contract: among all optimal assignments, the lexicographically
 smallest mapping is returned. The augmenting search alone does not guarantee
 that, so a second pass refines the solution inside the graph of tight edges
-(zero reduced cost under the optimal duals), one breadth-first search per row
-in index order. By complementary slackness every optimal assignment lives in
-the tight graph of any optimal dual pair, so the refined result does not
-depend on which optimum the search found. The solver's Frank–Wolfe directions
-skip the refine: any optimal vertex will do.
+(zero reduced cost under the optimal duals). It holds the tight rows and
+columns as Python-int bitsets and runs one breadth-first search for each row,
+in index order, that has a tight column left of its own held by a later row;
+when every row sits at its leftmost tight column it returns at once. On the
+{0,1,2} matrices above (order 300 to 400) it takes 1.0 ms of a 3.2 ms solve
+(same machine, best of 9), where numpy calls per row took 5.4 of 8.3 ms.
+By complementary slackness every optimal assignment lives in the tight graph
+of any optimal dual pair, so the refined result does not depend on which
+optimum the search found. The solver's Frank–Wolfe directions skip the
+refine: any optimal vertex will do.
 """
 
 from __future__ import annotations
@@ -286,42 +291,69 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
     breadth-first search back from ``c`` over the later rows finds the holders
     that can give theirs up (Tassa 2012): a row joins when it can take, on a
     tight edge, the column of a row already reached, which becomes its parent.
-    Row ``i`` takes the smallest reached candidate by a rotation along the
-    parent chain.
+    The search expands rows in queue order, each batch of joins in ascending
+    row order, and stops once the first candidate's holder has joined. Row
+    ``i`` takes the smallest reached candidate by a rotation along the parent
+    chain.
+
+    Rows, columns and sets of either are Python-int bitsets (bit ``k`` is
+    index ``k``), so a look-up or an expansion is a few integer operations
+    rather than numpy calls over whole rows. When every row already sits at
+    its leftmost tight column, the matching is returned as it is.
     """
     n = tight.shape[0]
-    col_of = row_to_col.copy()
-    row_of = np.empty(n, dtype=np.int64)
-    row_of[col_of] = np.arange(n)
-    leftmost = tight.argmax(axis=1).tolist() if n else []
-    parent = np.empty(n, dtype=np.int64)
+    col_of = row_to_col.tolist()
+    if not n or tight.argmax(axis=1).tolist() == col_of:
+        return row_to_col.copy()
+    width = (n + 7) // 8
+    packed = np.packbits(tight, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[k : k + width], "little") for k in range(0, n * width, width)]
+    packed = np.packbits(np.ascontiguousarray(tight.T), axis=1, bitorder="little").tobytes()
+    cols = [int.from_bytes(packed[k : k + width], "little") for k in range(0, n * width, width)]
+    row_of = [0] * n
+    for row, col in enumerate(col_of):
+        row_of[col] = row
+    parent = [0] * n
+    unpinned = (1 << n) - 1  # rows after the one being placed
+    open_cols = unpinned  # the columns of the rows not yet pinned
     for i in range(n):
-        current = int(col_of[i])
-        if leftmost[i] == current:
-            continue
-        candidates = np.flatnonzero(tight[i, :current] & (row_of[:current] > i))
-        if not candidates.size:
-            continue
-        first_holder = int(row_of[candidates[0]])
-        reached = np.arange(n) <= i  # earlier rows are pinned; row i is the root
-        queue = [i]
-        for row in queue:
-            joins = np.flatnonzero(tight[:, col_of[row]] & ~reached)
-            reached[joins] = True
-            parent[joins] = row
-            queue.extend(joins.tolist())
-            if reached[first_holder]:
-                break
-        taken = candidates[reached[row_of[candidates]]]
-        if not taken.size:
-            continue
-        chain = [int(row_of[taken[0]])]
-        while chain[-1] != i:
-            chain.append(int(parent[chain[-1]]))
-        # each row on the chain takes its parent's column; row i takes the candidate
-        col_of[chain] = col_of[chain[1:] + chain[:1]]
-        row_of[col_of[chain]] = chain
-    return col_of
+        current = col_of[i]
+        unpinned ^= 1 << i
+        candidates = rows[i] & open_cols & ((1 << current) - 1)
+        if candidates:
+            first_holder = row_of[(candidates & -candidates).bit_length() - 1]
+            unreached = unpinned
+            joined = [(i, 1 << i)]  # batches of rows, each with the row that reached it
+            for owner, batch in joined:
+                while batch and unreached >> first_holder & 1:
+                    low = batch & -batch
+                    batch ^= low
+                    row = low.bit_length() - 1
+                    parent[row] = owner
+                    joins = cols[col_of[row]] & unreached
+                    if joins:
+                        unreached ^= joins
+                        joined.append((row, joins))
+                if not unreached >> first_holder & 1:
+                    parent[first_holder] = joined[-1][0]
+                    break
+            # row i takes the smallest candidate whose holder was reached, if any
+            while candidates:
+                taken = (candidates & -candidates).bit_length() - 1
+                row = row_of[taken]
+                if not unreached >> row & 1:
+                    break
+                candidates &= candidates - 1
+            if candidates:
+                # each row on the chain takes its parent's column; row i takes the candidate
+                while row != i:
+                    col_of[row] = col_of[parent[row]]
+                    row_of[col_of[row]] = row
+                    row = parent[row]
+                col_of[i] = taken
+                row_of[taken] = i
+        open_cols ^= 1 << col_of[i]
+    return np.array(col_of, dtype=row_to_col.dtype)
 
 
 def solve_assignment(cost: np.ndarray) -> Permutation:
@@ -343,7 +375,9 @@ def solve_assignment(cost: np.ndarray) -> Permutation:
     if not math.isfinite(12 * n * scale):  # NaN and inf fail too
         raise ValueError("cost matrix has non-finite entries or entries too large to solve")
     row_to_col, u, v = _augmenting_path_lap(cost, stop_at_unmatched_tie=True)
-    tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
+    reduced = np.subtract(cost, u[:, None])
+    reduced -= v
+    tight = reduced <= 1e-9 * scale
     tight[np.arange(n), row_to_col] = True  # matched edges are tight up to roundoff
     refined = _lexicographic_refine(tight, row_to_col)
     return Permutation(tuple(refined.tolist()))

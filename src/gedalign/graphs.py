@@ -139,7 +139,9 @@ def _load_json_object(source: bytes | str | IO, error: type[GedError], what: str
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         doc = json.loads(data)
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+    # not UTF-8, not JSON, an integer past the digit limit, or nesting past
+    # the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what} document must be a JSON object")

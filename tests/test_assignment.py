@@ -188,6 +188,25 @@ class TestSolveAssignment:
             "max": "9847cf3b4a9208af118cd7f1bd04b5c591380099cc24be60e9518cc6b2391622",
         }
 
+    def test_pinned_mappings_at_the_tie_workload_orders(self):
+        # one hash per sense over 12 {0,1,2} matrices of orders 300-400 (the
+        # low-discrepancy walk of perfbench's lap_ties), recorded before the
+        # refine moved from numpy rows to Python-int bitsets
+        rng = np.random.default_rng(2026)
+        walk = [(0.5 + k * 0.6180339887498949) % 1.0 for k in range(12)]
+        orders = [300 + int(round(100 * frac)) for frac in walk]
+        costs = [rng.integers(0, 3, size=(n, n)).astype(np.float64) for n in orders]
+        digest = {
+            sense: hashlib.sha256(
+                repr([solve_assignment(sign * c).mapping for c in costs]).encode()
+            ).hexdigest()
+            for sense, sign in (("min", 1.0), ("max", -1.0))
+        }
+        assert digest == {
+            "min": "4a5f9f5044865c3279c086aa0e041dcccbc0e3dae6c3b71fc622314b899e7910",
+            "max": "54642a28316bd0df58c414ae7c3e3ac9d75053dd3d405e1480cbc60df71eea99",
+        }
+
     def test_tie_stop_finds_the_index_order_mapping(self, rng):
         for n in rng.integers(1, 61, size=40):
             cost = rng.integers(0, 3, size=(n, n)).astype(np.float64)
@@ -314,6 +333,45 @@ class TestListPath:
         assert taken == ["_phases_on_lists"] * 3 + ["_phases_on_arrays"]
 
 
+def _reference_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:
+    """The refine on numpy rows and columns, kept as the bitset refine's
+    reference: the same searches in the same order, with one numpy call per
+    candidate look-up and per row expanded."""
+    n = tight.shape[0]
+    col_of = row_to_col.copy()
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[col_of] = np.arange(n)
+    leftmost = tight.argmax(axis=1).tolist() if n else []
+    parent = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        current = int(col_of[i])
+        if leftmost[i] == current:
+            continue
+        candidates = np.flatnonzero(tight[i, :current] & (row_of[:current] > i))
+        if not candidates.size:
+            continue
+        first_holder = int(row_of[candidates[0]])
+        reached = np.arange(n) <= i  # earlier rows are pinned; row i is the root
+        queue = [i]
+        for row in queue:
+            joins = np.flatnonzero(tight[:, col_of[row]] & ~reached)
+            reached[joins] = True
+            parent[joins] = row
+            queue.extend(joins.tolist())
+            if reached[first_holder]:
+                break
+        taken = candidates[reached[row_of[candidates]]]
+        if not taken.size:
+            continue
+        chain = [int(row_of[taken[0]])]
+        while chain[-1] != i:
+            chain.append(int(parent[chain[-1]]))
+        # each row on the chain takes its parent's column; row i takes the candidate
+        col_of[chain] = col_of[chain[1:] + chain[:1]]
+        row_of[col_of[chain]] = chain
+    return col_of
+
+
 def _lexicographic_first_matching(tight: np.ndarray) -> tuple[int, ...]:
     """First perfect matching of ``tight`` in lexicographic order, by enumeration."""
     n = tight.shape[0]
@@ -331,6 +389,26 @@ class TestLexicographicRefine:
             tight[np.arange(n), start] = True
             refined = _lexicographic_refine(tight, start)
             assert tuple(refined.tolist()) == _lexicographic_first_matching(tight)
+
+    def test_matches_the_reference_on_random_tight_graphs(self):
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            n = int(rng.integers(0, 65))
+            start = rng.permutation(n)
+            tight = rng.random((n, n)) < rng.uniform(0.05, 0.9)
+            tight[np.arange(n), start] = True
+            refined = _lexicographic_refine(tight, start)
+            assert refined.tolist() == _reference_refine(tight, start).tolist()
+
+    def test_all_tight_from_the_reversed_matching(self):
+        # row i's first candidate, column i, is held by row n - 1 - i, which
+        # joins at the search's first expansion: n searches of one step each
+        n = 1200
+        tight = np.ones((n, n), dtype=bool)
+        start = np.arange(n)[::-1].copy()
+        refined = _lexicographic_refine(tight, start)
+        assert refined.tolist() == list(range(n))
+        assert refined.tolist() == _reference_refine(tight, start).tolist()
 
     def test_smallest_candidate_whose_holder_cannot_give_it_up(self):
         # row 0 would take column 0 first, but row 1 has no other tight column,

@@ -308,6 +308,12 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
 
+    def test_index_nested_past_the_recursion_limit(self, tmp_path):
+        # the decoder recurses once per open bracket
+        (tmp_path / "index.json").write_text("[" * 100_000)
+        with pytest.raises(CorpusFormatError, match="parse error"):
+            load_corpus(tmp_path)
+
     def test_index_not_an_object(self, tmp_path):
         (tmp_path / "index.json").write_text("[]")
         with pytest.raises(CorpusFormatError, match="must be a JSON object"):

@@ -66,6 +66,13 @@ class TestEstimate:
         code = main(["estimate", str(bad), graph_files["path3"]])
         assert code == EXIT_INPUT
 
+    def test_graph_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code = main(["estimate", str(deep), str(deep)])
+        assert code == EXIT_INPUT
+        assert "graph JSON parse error" in capsys.readouterr().err
+
     def test_unknown_cost_setting(self, graph_files):
         code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--cost", "case7"])
         assert code == EXIT_INPUT

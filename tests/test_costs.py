@@ -92,6 +92,11 @@ class TestLoadCostModel:
         assert cm.node_delete_cost("anything") == 2.0
         assert cm.edge_cost_squared == 1.0
 
+    def test_nesting_past_the_recursion_limit_is_error(self):
+        # the decoder recurses once per open bracket
+        with pytest.raises(CostModelError, match="parse error"):
+            load_cost_model('{"edge_cost_squared": ' + "[" * 100_000)
+
     def test_integer_past_the_digit_limit_is_error(self):
         # json refuses to convert an integer literal of more than 4300 digits
         text = '{"edge_cost_squared": 1' + "0" * 5000 + "}"

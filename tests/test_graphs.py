@@ -48,6 +48,11 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="parse error"):
             load_graph(text)
 
+    def test_nesting_past_the_recursion_limit_rejected(self):
+        # the decoder recurses once per open bracket
+        with pytest.raises(GraphFormatError, match="parse error"):
+            load_graph("[" * 100_000)
+
     def test_self_loop_rejected(self):
         doc = '{"nodes":[{"id":0,"label":"a"}],"edges":[[0,0]]}'
         with pytest.raises(GraphFormatError, match="edges\\[0\\].*self-loop"):

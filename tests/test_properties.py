@@ -4,7 +4,10 @@ The examples are derandomized, so every run checks the same pairs.
 """
 
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gedalign import (  # noqa: E402
     CostModel,
+    GedError,
     SolverConfig,
     adjacency,
     build_cost_matrix,
@@ -20,6 +24,9 @@ from gedalign import (  # noqa: E402
     estimate_ged,
     exact_ged,
     ged_under_mapping,
+    load_corpus,
+    load_cost_model,
+    load_graph,
     make_graph,
     pad_pair,
 )
@@ -158,3 +165,64 @@ def test_exact_ged_is_the_first_cheapest_mapping(g1, g2, cm):
     result = exact_ged(g1, g2, cm)
     assert result.ged.hex() == ged.hex()
     assert result.optimal_mapping.mapping == mapping
+
+
+#: names the readers look up and the drawn corpus's two graph files, so that
+#: keys and strings in drawn trees sometimes mean something
+NAMES = st.sampled_from(
+    ("nodes", "edges", "id", "label", "default", "pairs", "cases", "g1", "a.json", "b.json")
+) | st.text(max_size=2)
+NUMBERS = st.integers() | st.floats()
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | NAMES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(NAMES, kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def _shaped(fields: dict) -> st.SearchStrategy:
+    """Objects with ``fields``, each value of its expected shape or any JSON
+    tree."""
+    return st.fixed_dictionaries({k: v | JSON_TREES for k, v in fields.items()})
+
+
+NODE = _shaped({"id": st.integers(-1, 3), "label": st.text(max_size=1)})
+EDGE = st.lists(st.integers(-1, 4), max_size=3)
+GRAPH = _shaped({"nodes": st.lists(NODE, max_size=4), "edges": st.lists(EDGE, max_size=4)})
+PAIR = st.lists(st.text(max_size=1) | NUMBERS, max_size=4)
+TABLE = _shaped({"default": NUMBERS, "a": NUMBERS})
+COST = _shaped(
+    {"edge_cost_squared": NUMBERS, "node_insert": TABLE, "node_delete": TABLE,
+     "node_substitute": _shaped({"default": NUMBERS, "pairs": st.lists(PAIR, max_size=3)})}
+)  # fmt: skip
+FILE = st.sampled_from(("a.json", "b.json"))
+CASE = _shaped(
+    {"id": st.text(max_size=1), "g1": FILE, "g2": FILE, "true_ged": NUMBERS,
+     "applied_edits": st.integers(-1, 3), "applied_cost": NUMBERS}
+)  # fmt: skip
+INDEX = _shaped({"cases": st.lists(CASE, max_size=3)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    graph=GRAPH | JSON_TREES,
+    cost=COST | JSON_TREES,
+    index=INDEX | JSON_TREES,
+    a=GRAPH,
+    b=GRAPH,
+)
+def test_readers_raise_nothing_but_ged_error(graph, cost, index, a, b):
+    # a JSON document is read or refused with a GedError, never a traceback;
+    # non-finite floats are written as NaN and Infinity, which json reads back
+    for read, doc in ((load_graph, graph), (load_cost_model, cost)):
+        try:
+            read(json.dumps(doc))
+        except GedError:
+            pass
+    with tempfile.TemporaryDirectory() as root:
+        for name, doc in (("index.json", index), ("a.json", a), ("b.json", b)):
+            Path(root, name).write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_corpus(root)
+        except GedError:
+            pass
