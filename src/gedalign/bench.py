@@ -42,8 +42,6 @@ from .solver import CERTIFIED_OPTIMAL, SolverConfig, estimate_ged
 #: SI counts a pair as solved exactly when |estimate - truth| is at most this.
 EXACT_MATCH_TOL = 1e-9
 
-_EDIT_RETRIES = 50
-
 
 @dataclass(frozen=True)
 class PairCase:
@@ -212,16 +210,13 @@ def generate_pairs(
         g1 = make_graph(node_labels, edges)  # a copy: the edits below mutate both parts
         origin_of: list[int | None] = list(range(n1))
         k = int(rng.integers(edit_range[0], edit_range[1] + 1))
-        for _ in range(k):
-            for _ in range(_EDIT_RETRIES):
-                if _apply_random_edit(
-                    rng, node_labels, edges, origin_of, label_alphabet, max_order
-                ):
-                    break
-            else:
-                raise GedError(
-                    f"case {index}: could not apply an edit after {_EDIT_RETRIES} tries"
-                )
+        if k and max_order == 0:
+            raise GedError(f"case {index}: no edit applies to an empty graph of max order 0")
+        for _ in range(k):  # a try applies with probability >= 0.1: removing or adding a node
+            while not _apply_random_edit(
+                rng, node_labels, edges, origin_of, label_alphabet, max_order
+            ):
+                pass
         g2 = make_graph(node_labels, edges)
         pair = pad_pair(g1, g2)
         mapping = _provenance_mapping(g1.order, g2.order, origin_of)

@@ -65,9 +65,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 def _load_cost(selector: str) -> CostModel:
     if selector.startswith("file:"):
-        path = Path(selector[len("file:"):])
-        with open(path, "rb") as handle:
-            return load_cost_model(handle)
+        return load_cost_model(Path(selector[len("file:"):]).read_bytes())
     return builtin_cost_model(selector)
 
 
@@ -75,6 +73,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[CostModel, LabeledGraph, Lab
     """The cost model, then the two graphs, that ``estimate`` and ``exact`` read."""
     cm = _load_cost(args.cost)
     g1, g2 = (load_graph(Path(path).read_bytes()) for path in (args.graph1, args.graph2))
+    if args.out:  # open it before the solve: failing to write it afterwards would lose it
+        Path(args.out).open("a").close()
     return cm, g1, g2
 
 
@@ -120,18 +120,21 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _fail(prefix: str, exc: Exception, code: int) -> int:
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         cm, g1, g2 = _load_inputs(args)
         cfg = _solver_config(args)
     except (OSError, GedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("error", exc, EXIT_INPUT)
     try:
         report = estimate_ged(g1, g2, cm, cfg)
     except GedError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail("solver error", exc, EXIT_SOLVER)
     _emit(_report_json(pad_pair(g1, g2), report), args.out)
     return EXIT_OK
 
@@ -140,16 +143,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     try:
         cm, g1, g2 = _load_inputs(args)
     except (OSError, GedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("error", exc, EXIT_INPUT)
     try:
         result = exact_ged(g1, g2, cm, node_budget=args.budget)
     except BudgetExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail("refused", exc, EXIT_BUDGET)
     except GedError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail("solver error", exc, EXIT_SOLVER)
     pair = pad_pair(g1, g2)
     path: EditPath = extract_edit_path(pair, result.optimal_mapping, cm)
     doc = {
@@ -186,8 +186,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         )
         write_corpus(cases, args.out, seed=args.seed, params=params)
     except (OSError, GedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("error", exc, EXIT_INPUT)
     print(f"wrote {len(cases)} cases to {args.out}")
     return EXIT_OK
 
@@ -220,8 +219,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for path in (csv_path, json_path):
             path.open("a").close()
     except (OSError, GedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("error", exc, EXIT_INPUT)
     report = run_bench(cases, cm, cfg, workers=args.workers)  # a failing pair keeps its row
     csv_path.write_text(report_to_csv(report), encoding="utf-8")
     json_path.write_text(report_to_aggregate_json(report), encoding="utf-8")

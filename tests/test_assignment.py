@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +235,30 @@ class TestSolveAssignment:
 
     def test_empty_matrix(self):
         assert solve_assignment(np.zeros((0, 0))).mapping == ()
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+    def test_refuses_a_single_non_finite_entry(self, entry, where):
+        # among entries below 1 in magnitude, a lone NaN or -inf changes
+        # neither reduction's floor of 1 on its own side: it must still show
+        cost = np.full((3, 3), 0.5)
+        cost[where] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_assignment(cost)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_duals_bound_on_both_signs(self, sign, n):
+        # one entry of either sign sets s = max |cost|; the matrix is
+        # refused exactly when 12 n s passes float range
+        edge = sys.float_info.max / (12 * n)
+        cost = np.ones((n, n))
+        cost[n - 1, 0] = sign * edge * 1.01
+        with pytest.raises(ValueError, match="too large"):
+            solve_assignment(cost)
+        cost[n - 1, 0] = sign * edge * 0.99
+        assert sorted(solve_assignment(cost).mapping) == list(range(n))
+        assert solve_assignment(np.zeros((0, 0)) * sign).mapping == ()
 
     def test_refine_follows_an_alternating_path_through_every_row(self):
         # tight edges i -> i and i -> i+1 (mod n), starting from the shift:

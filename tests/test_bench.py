@@ -9,6 +9,7 @@ import pytest
 import gedalign.bench as bench_module
 from gedalign import (
     CorpusFormatError,
+    GedError,
     GraphFormatError,
     builtin_cost_model,
     estimate_ged,
@@ -116,6 +117,21 @@ class TestGeneratePairs:
         # base graphs of order 6 and 7 would be written under a recorded max order of 4
         with pytest.raises(ValueError, match="max order"):
             generate_pairs(1, 3, (6, 7), (0, 2), ALPHABET, CM3, max_order=4)
+
+    def test_tiny_graphs_take_every_drawn_edit(self):
+        # orders 0 and 1 under one label leave most draws nothing to edit;
+        # each edit is drawn again until one applies
+        cases = generate_pairs(5, 5, (0, 1), (1, 4), ("a",), CM3, max_order=1, oracle_budget=0)
+        assert len(cases) == 5
+        assert all(case.applied_edits >= 1 for case in cases)
+        assert all(max(case.g1.order, case.g2.order) <= 1 for case in cases)
+
+    def test_max_order_zero_refuses_a_drawn_edit(self):
+        # an empty graph that may not grow admits no edit of any kind
+        with pytest.raises(GedError, match="case 0: no edit applies .* max order 0"):
+            generate_pairs(1, 2, (0, 0), (1, 2), ALPHABET, CM3, max_order=0)
+        cases = generate_pairs(1, 2, (0, 0), (0, 0), ALPHABET, CM3, max_order=0)
+        assert [case.true_ged for case in cases] == [0.0, 0.0]
 
     def test_pinned_output_bytes(self):
         # every edit branch runs, its refusals included: one label (no relabel),
@@ -350,6 +366,17 @@ class TestCorpusIO:
         index["cases"][1]["applied_edits"] = value
         index_path.write_text(json.dumps(index))
         with pytest.raises(CorpusFormatError, match=r"cases\[1\]: 'applied_edits'"):
+            load_corpus(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("key", ["true_ged", "applied_cost"])
+    @pytest.mark.parametrize("value", ["1.5", [1.0], {"v": 1}, True])
+    def test_non_number(self, tmp_path, key, value):
+        write_corpus(small_corpus(seed=21, count=2), tmp_path / "corpus")
+        index_path = tmp_path / "corpus" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["cases"][1][key] = value
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(CorpusFormatError, match=rf"cases\[1\]: '{key}' must be a number or null"):
             load_corpus(tmp_path / "corpus")
 
     @pytest.mark.parametrize("key", ["true_ged", "applied_cost"])

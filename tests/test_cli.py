@@ -11,7 +11,8 @@ import pytest
 
 import gedalign
 import gedalign.bench as bench_module
-from gedalign import load_graph, make_graph, save_graph, write_corpus
+import gedalign.cli as cli_module
+from gedalign import load_corpus, load_graph, make_graph, save_graph, write_corpus
 from gedalign.bench import PairCase
 from gedalign.cli import (
     EXIT_BUDGET,
@@ -35,6 +36,10 @@ def graph_files(tmp_path):
         p.write_text(save_graph(g), encoding="utf-8")
         paths[name] = str(p)
     return paths
+
+
+def _must_not_solve(*args, **kwargs):
+    raise AssertionError("solved before --out was checked")
 
 
 class TestEstimate:
@@ -141,6 +146,15 @@ class TestEstimate:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["estimated_ged"] == 1.0
 
+    @pytest.mark.parametrize("out", ["missing/report.json", "taken"])
+    def test_unwritable_out_fails_before_the_solve(self, graph_files, tmp_path, monkeypatch, capsys, out):
+        # a missing directory, and an existing directory used as the file
+        (tmp_path / "taken").mkdir()
+        monkeypatch.setattr(cli_module, "estimate_ged", _must_not_solve)
+        args = ["estimate", graph_files["triangle"], graph_files["path3"], "--out", str(tmp_path / out)]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
 
 class TestExact:
     def test_identical(self, graph_files, capsys):
@@ -159,6 +173,33 @@ class TestExact:
         code = main(["exact", graph_files["big"], graph_files["big"]])
         assert code == EXIT_BUDGET
         assert "refused" in capsys.readouterr().err
+
+    def test_missing_file(self, graph_files, capsys):
+        code = main(["exact", "/nonexistent.json", graph_files["path3"]])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+    def test_solver_error_exit_code(self, tmp_path, capsys):
+        # case2 ranks substitutions by integer label id, which "x" is not
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(save_graph(make_graph(["x"], [])))
+        b.write_text(save_graph(make_graph(["y"], [])))
+        assert main(["exact", str(a), str(b), "--cost", "case2"]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver error: label 'x' is not an integer id")
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "taken"])
+    def test_unwritable_out_fails_before_the_solve(self, graph_files, tmp_path, monkeypatch, capsys, out):
+        (tmp_path / "taken").mkdir()
+        monkeypatch.setattr(cli_module, "exact_ged", _must_not_solve)
+        args = ["exact", graph_files["triangle"], graph_files["path3"], "--out", str(tmp_path / out)]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
+    def test_out_file(self, graph_files, tmp_path):
+        out = tmp_path / "exact.json"
+        code = main(["exact", graph_files["triangle"], graph_files["path3"], "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["ged"] == 1.0
 
 
 # edit paths of the 1- and 3-node graphs below under case1, as the CLI printed
@@ -351,6 +392,27 @@ class TestGenAndBench:
                      "--max-order", "4", "--out", str(corpus)])
         assert code == EXIT_INPUT
         assert "max order" in capsys.readouterr().err
+        assert not (corpus / "index.json").exists()
+
+    def test_gen_applies_every_drawn_edit_to_a_tiny_graph(self, tmp_path, capsys):
+        # graphs of order 0 and 1 under one label: most draws cannot apply,
+        # so an edit can take many tries
+        corpus = tmp_path / "corpus"
+        code = main(["gen", "--seed", "5", "--count", "5", "--n-min", "0", "--n-max", "1",
+                     "--edits-min", "1", "--edits-max", "4", "--labels", "a", "--max-order", "1",
+                     "--out", str(corpus)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == f"wrote 5 cases to {corpus}\n"
+        assert len(load_corpus(corpus)) == 5
+
+    def test_gen_refuses_edits_under_max_order_zero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        code = main(["gen", "--seed", "1", "--count", "2", "--n-min", "0", "--n-max", "0",
+                     "--edits-min", "1", "--max-order", "0", "--out", str(corpus)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: case 0: no edit applies to an empty graph of max order 0\n"
+        )
         assert not (corpus / "index.json").exists()
 
     def test_generated_graphs_load_cleanly(self, tmp_path, capsys):

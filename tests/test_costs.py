@@ -45,6 +45,12 @@ class TestBuiltinSettings:
         assert cm.node_substitute_cost("5", "4", pool) == 1.0  # tie counts as nearest
         assert cm.node_substitute_cost("5", "9", pool) == 2.0
 
+    @pytest.mark.parametrize("pool", [{"5"}, set()])
+    def test_case2_pool_without_another_label(self, pool):
+        # no candidate to rank the target against: every substitution costs 2
+        cm = builtin_cost_model("case2")
+        assert cm.node_substitute_cost("5", "6", pool) == 2.0
+
     def test_case2_identical_labels_free(self):
         cm = builtin_cost_model("case2")
         assert cm.node_substitute_cost("7", "7", {"7", "9"}) == 0.0

@@ -3,6 +3,8 @@
 The examples are derandomized, so every run checks the same pairs.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -29,8 +31,10 @@ from gedalign import (  # noqa: E402
     load_graph,
     make_graph,
     pad_pair,
+    save_graph,
 )
 import gedalign.solver as solver_module  # noqa: E402
+from gedalign.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main  # noqa: E402
 from gedalign.costs import MAX_COST  # noqa: E402
 from gedalign.editpath import lower_bound  # noqa: E402
 from conftest import brute_force_ged  # noqa: E402
@@ -226,3 +230,44 @@ def test_readers_raise_nothing_but_ged_error(graph, cost, index, a, b):
             load_corpus(root)
         except GedError:
             pass
+
+
+#: ``--out``, joined to the run's directory: absent, a new file, a file under
+#: a missing directory, or the directory itself
+OUTS = st.sampled_from((None, "report.json", "missing/report.json", ""))
+CASES = ("case1", "case2", "case3")
+#: cost files that load, every cost at 0, 1 or the ceiling
+COST_FILE = st.fixed_dictionaries(
+    {"edge_cost_squared": st.sampled_from((1.0, MAX_COST)),
+     "node_insert": st.fixed_dictionaries({"default": COSTS}),
+     "node_delete": st.fixed_dictionaries({"default": COSTS})}
+)  # fmt: skip
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(("estimate", "exact")),
+    a=graphs().map(save_graph) | GRAPH.map(json.dumps),
+    b=graphs().map(save_graph),
+    cost=st.sampled_from(CASES) | (COST_FILE | COST).map(json.dumps),
+    out=OUTS,
+)
+def test_cli_exits_with_a_documented_code(command, a, b, cost, out):
+    # any graph and cost documents, and any --out, end in exit 0, 2, 3 or 4:
+    # never a traceback
+    with tempfile.TemporaryDirectory() as root:
+        argv = [command]
+        for name, text in (("a.json", a), ("b.json", b)):
+            Path(root, name).write_text(text, encoding="utf-8")
+            argv.append(str(Path(root, name)))
+        if cost not in CASES:
+            Path(root, "cost.json").write_text(cost, encoding="utf-8")
+            cost = f"file:{Path(root, 'cost.json')}"
+        argv += ["--cost", cost]
+        if out is not None:
+            argv += ["--out", str(Path(root, out))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_SOLVER, EXIT_BUDGET)
+        if code == EXIT_OK and out == "report.json":
+            assert isinstance(json.loads(Path(root, out).read_text(encoding="utf-8")), dict)
