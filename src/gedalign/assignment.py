@@ -107,6 +107,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
+_NOT_FINITE = "augmenting search found no finite distance: the costs are not finite"
+
 #: Orders up to this run the LAP's two phases on Python lists, larger ones on
 #: numpy arrays; both give the same bits (see the module docstring).
 SCALAR_MAX_ORDER = 96
@@ -140,6 +142,8 @@ def _augmenting_path_lap(
     Every reduced cost must stay finite (:func:`solve_assignment` refuses
     costs that might not; the ``costs`` docstring bounds the gradients), so
     a search's root row gives every column left to settle a finite distance.
+    A search whose least distance is not finite, as a NaN or infinite cost
+    makes it, raises ``ValueError``: its path could not be traced back.
     """
     n = cost.shape[0]
     # initial=inf lets an empty matrix through and changes no other minimum
@@ -202,6 +206,8 @@ def _phases_on_arrays(
             np.copyto(way, j0, where=better)
             j1 = int(minv.argmin())
             delta = minv[j1]
+            if not math.isfinite(delta):
+                raise ValueError(_NOT_FINITE)
             if tie_stop and not unmatched[j1]:
                 tie = np.equal(minv, delta, out=better)
                 tie &= unmatched
@@ -254,7 +260,7 @@ def _phases_on_lists(
                 free.remove(j0)
             i0 = col_to_row[j0]
             row, ui0 = rows[i0], uu[i0]
-            j1, delta = free[0], math.inf  # replaced below: every free minv is finite
+            j1, delta = free[0], math.inf
             for j in free:
                 reduced = row[j] - ui0 - vv[j]
                 if reduced < minv[j]:
@@ -262,6 +268,8 @@ def _phases_on_lists(
                     way[j] = j0
                 if minv[j] < delta:
                     j1, delta = j, minv[j]
+            if not math.isfinite(delta):
+                raise ValueError(_NOT_FINITE)
             if tie_stop and col_to_row[j1] != -1:
                 j1 = next((j for j in free if minv[j] == delta and col_to_row[j] == -1), j1)
             for j in used:

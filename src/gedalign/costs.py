@@ -228,16 +228,21 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
 
 
 def build_cost_matrix(pair: GraphPair, cm: CostModel) -> np.ndarray:
-    """Node-cost matrix ``D`` of a pair; entry ``(i, j)`` prices ``i -> j``."""
+    """Node-cost matrix ``D`` of a pair; entry ``(i, j)`` prices ``i -> j``.
+
+    The rows are built as Python lists and become one array: one numpy call
+    in place of one per entry. One of the two graphs has the padded order,
+    so no entry pairs two padding nodes.
+    """
     pool = pair.label_pool()
     labels1 = pair.g1.labels
     labels2 = pair.g2.labels
-    n1, n2 = len(labels1), len(labels2)
-    d = np.zeros((pair.order, pair.order), dtype=np.float64)
-    for i, l1 in enumerate(labels1):
-        for j, l2 in enumerate(labels2):
-            d[i, j] = cm.node_substitute_cost(l1, l2, pool)
-        d[i, n2:] = cm.node_delete_cost(l1)
-    for j, l2 in enumerate(labels2):
-        d[n1:, j] = cm.node_insert_cost(l2)
-    return d
+    n = pair.order
+    rows = []
+    for l1 in labels1:
+        row = [cm.node_substitute_cost(l1, l2, pool) for l2 in labels2]
+        row += [cm.node_delete_cost(l1)] * (n - len(labels2))
+        rows.append(row)
+    inserts = [cm.node_insert_cost(l2) for l2 in labels2]
+    rows += [inserts] * (n - len(labels1))
+    return np.array(rows, dtype=np.float64).reshape(n, n)

@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +404,35 @@ def _lexicographic_first_matching(tight: np.ndarray) -> tuple[int, ...]:
     """First perfect matching of ``tight`` in lexicographic order, by enumeration."""
     n = tight.shape[0]
     return next(p for p in itertools.permutations(range(n)) if all(tight[np.arange(n), p]))
+
+
+_NAN_SEARCH = """
+import numpy as np
+from gedalign.assignment import _augmenting_path_lap
+cost = np.full(({n}, {n}), 0.5)
+cost[1, 2] = np.nan
+try:
+    _augmenting_path_lap(cost, stop_at_unmatched_tie={tie_stop})
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+
+
+class TestNonFiniteSearch:
+    @pytest.mark.parametrize("tie_stop", [False, True], ids=["index_stop", "tie_stop"])
+    @pytest.mark.parametrize("n", [3, SCALAR_MAX_ORDER + 1], ids=["lists", "arrays"])
+    def test_nan_cost_raises_rather_than_hanging(self, n, tie_stop):
+        # a NaN cost leaves no finite distance in the search, whose path could
+        # not be traced back. The search runs in a child process, so one that
+        # never ends fails here at the timeout rather than hang the suite
+        src = Path(assignment_module.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", _NAN_SEARCH.format(n=n, tie_stop=tie_stop)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("ValueError: augmenting search found no finite distance")
 
 
 class TestLexicographicRefine:

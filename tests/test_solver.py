@@ -77,16 +77,18 @@ class TestFrankWolfe:
     def test_line_search_beats_every_grid_point(self, monkeypatch, rng):
         # each step lands where the objective along the segment to the LAP
         # vertex is no higher than at any of 101 evenly spaced points of it
-        kernel_calls = _record(monkeypatch, "value_and_grad")
+        gradient_calls = _record(monkeypatch, "gradient")
         lap_calls = _record(monkeypatch, "_augmenting_path_lap")
         grid = np.linspace(0.0, 1.0, 101)
         steps = 0
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
-            kernel_calls.clear()
+            gradient_calls.clear()
             lap_calls.clear()
-            _, iters, _, _ = inner_minimize(a, b, d, p0, lam)
+            last, iters, _, _ = inner_minimize(a, b, d, p0, lam)
+            # a gradient at every iterate before the last, which is returned
+            iterates = [args[3] for args, _ in gradient_calls[:iters]] + [last]
             for k in range(iters):
-                p, value = kernel_calls[k][0][3], kernel_calls[k + 1][1][0]
+                p, value = iterates[k], value_and_grad(a, b, d, iterates[k + 1], lam)[0]
                 cols = lap_calls[k][1][0]
                 delta = -p
                 delta[np.arange(len(cols)), cols] += 1.0
@@ -96,11 +98,11 @@ class TestFrankWolfe:
         assert steps >= 12
 
     def test_iterates_stay_doubly_stochastic(self, monkeypatch, rng):
-        kernel_calls = _record(monkeypatch, "value_and_grad")
+        gradient_calls = _record(monkeypatch, "gradient")
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
             inner_minimize(a, b, d, p0, lam)
-        assert len(kernel_calls) > 24
-        for args, _ in kernel_calls:
+        assert len(gradient_calls) > 24
+        for args, _ in gradient_calls:
             p = args[3]
             assert p.min() >= 0.0
             assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12
@@ -157,16 +159,33 @@ class TestInnerMinimize:
             )
 
     def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            pair = pad_pair(random_graph(rng, n, ("a", "b")), random_graph(rng, n, ("a", "b")))
-            cm = builtin_cost_model("case1")
-            kappa = np.sqrt(cm.edge_cost_squared)
-            a, b = kappa * adjacency(pair.g1, pair.order), kappa * adjacency(pair.g2, pair.order)
-            d = build_cost_matrix(pair, cm)
-            lam = float(rng.uniform(0.0, 2.0))
-            p, _, value, _ = inner_minimize(a, b, d, np.eye(pair.order), lam)
-            assert value == value_and_grad(a, b, d, p, lam)[0]
+        # the loop evaluates the objective once, at the iterate it returns,
+        # with the bits of value_and_grad there: at lam 0 and above, with no
+        # certificate, with checks that fail and with one that ends the loop
+        mark = (Permutation(()), 0.0)
+        for certify, ends in ((None, False), (lambda p: None, False), (lambda p: mark, True)):
+            steps = 0
+            for trial in range(12):
+                n = int(rng.integers(2, 7))
+                pair = pad_pair(
+                    random_graph(rng, n, ("a", "b")), random_graph(rng, n, ("a", "b"))
+                )
+                cm = builtin_cost_model("case1")
+                kappa = np.sqrt(cm.edge_cost_squared)
+                a = kappa * adjacency(pair.g1, pair.order)
+                b = kappa * adjacency(pair.g2, pair.order)
+                d = build_cost_matrix(pair, cm)
+                lam = 0.0 if trial % 2 else float(rng.uniform(0.0, 2.0))
+                p, iters, value, certified = inner_minimize(
+                    a, b, d, np.eye(pair.order), lam, certify
+                )
+                assert value.hex() == value_and_grad(a, b, d, p, lam)[0].hex()
+                if ends and iters:
+                    assert certified is mark and iters == CHECK_STEPS[0]
+                else:
+                    assert certified is None
+                steps += iters
+            assert steps > 0
 
 
 class TestSolvePair:
@@ -260,7 +279,7 @@ class TestSolvePair:
                     h.update(repr(outputs).encode())
             return h.hexdigest()
 
-        assert digest() == "e60939c144494ae4e7465ea6b27aae9910d9eec30e5731cca8dc317a1f7cdfcf"
+        assert digest() == "3a06db19fc17927ad22282214dc0d09af8a081c1a0152c3911a04ff611bd7c7f"
         monkeypatch.setattr(solver_module, "CHECK_STEPS", ())
         assert digest() == "44c42aa2dea217020ddfe89752538755c3dbc6b6bbbc1dc1d448fefbbb4f2158"
 
@@ -322,19 +341,21 @@ class TestSolvePair:
         assert report.estimated_ged == exact_ged(g1, g2, cm).ged
 
     def test_round_objective_is_the_minimized_value(self, monkeypatch, rng):
-        # every kernel call of a solve goes through the inner loop: one at
-        # each round's start and one per step, and a round reports the value
-        # at its last iterate, the smallest it saw, since each exact line
-        # search can only lower it
-        real_value_and_grad = solver_module.value_and_grad
-        values = []
+        # every kernel call of a solve goes through the inner loop: a gradient
+        # at each iterate, the last of a round ended by the step cap or a
+        # check excepted, and one objective per round, at the iterate it
+        # returns. A round reports that value, the smallest at any of its
+        # iterates, since each exact line search can only lower it
+        calls = []
+        for name in ("gradient", "objective"):
+            real = getattr(solver_module, name)
 
-        def recording(*args):
-            value, g = real_value_and_grad(*args)
-            values.append(value)
-            return value, g
+            def recording(*args, name=name, real=real):
+                result = real(*args)
+                calls.append((name, args, result))
+                return result
 
-        monkeypatch.setattr(solver_module, "value_and_grad", recording)
+            monkeypatch.setattr(solver_module, name, recording)
         pairs = [(PATH4, STAR4, builtin_cost_model("case3"))] + [
             (
                 random_graph(rng, int(rng.integers(3, 7)), ("0", "1")),
@@ -344,15 +365,50 @@ class TestSolvePair:
             for setting in ("case1", "case2", "case3")
         ]
         for g1, g2, cm in pairs:
-            values.clear()
+            calls.clear()
             report = estimate_ged(g1, g2, cm)
-            counts = [1 + rec.inner_iterations for rec in report.trace]
-            assert len(values) == sum(counts)
+            ends = [k for k, (name, _, _) in enumerate(calls) if name == "objective"]
+            assert len(ends) == len(report.trace)
             start = 0
-            for rec, count in zip(report.trace, counts):
-                seen = values[start : start + count]
-                assert rec.objective_value == seen[-1] == min(seen)
-                start += count
+            for rec, end in zip(report.trace, ends):
+                gradients = calls[start:end]
+                assert len(gradients) - rec.inner_iterations in (0, 1)
+                _, args, value = calls[end]
+                seen = [value_and_grad(*call_args)[0] for _, call_args, _ in gradients]
+                assert rec.objective_value == value == value_and_grad(*args)[0]
+                assert value == min(seen + [value])
+                start = end + 1
+
+
+    def test_round_without_a_step_keeps_its_start_rounding(self, monkeypatch):
+        # fractional costs: no bound, so no check. Path against path plus an
+        # isolated node: the identity start is stationary, so no round takes
+        # a step, and none rounds. Round 1 scores the identity, the only
+        # rounding of its matrix, and each later round keeps that candidate
+        cm = CostModel(
+            edge_cost_squared=0.3, insert_default=0.1, delete_default=0.7, substitute_default=0.2
+        )
+        g1, g2 = PATH3, graph("xxxx", [(0, 1), (1, 2)])
+        roundings = _record(monkeypatch, "round_to_permutation")
+        report = estimate_ged(g1, g2, cm)
+        assert report.lower_bound is None
+        assert [rec.inner_iterations for rec in report.trace] == [0] * len(report.trace)
+        assert roundings == []
+        pair = pad_pair(g1, g2)
+        a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
+        identity = np.arange(pair.order)[None, :]
+        cost = float(
+            editpath_module._score_block(
+                build_cost_matrix(pair, cm), a, b, identity, cm.edge_cost_squared
+            )[0]
+        )
+        assert [rec.candidate_ged for rec in report.trace] == [cost] * len(report.trace)
+        assert report.permutation == Permutation.identity(pair.order)
+        assert report.estimated_ged == cost == exact_ged(g1, g2, cm).ged
+
+        # rounds after a step round their iterate; the others make no call
+        report = estimate_ged(CYCLE6, TWO_TRIANGLES, cm)
+        assert len(roundings) == sum(rec.inner_iterations > 0 for rec in report.trace) > 0
 
 
 class TestCertifiedStop:
