@@ -144,19 +144,21 @@ def _mapping_costs(
     return total + k2 * edited_slots
 
 
-def _score_block(
-    d: np.ndarray, a: np.ndarray, b: np.ndarray, perms: np.ndarray, k2: float
-) -> np.ndarray:
-    """Costs of the mappings in ``perms`` (one per row) from the node-cost
-    matrix ``d`` and the raw adjacency matrices ``a`` and ``b``.
+def _score_mapping(
+    d: np.ndarray, a: np.ndarray, b: np.ndarray, mapping: tuple[int, ...], k2: float
+) -> float:
+    """Cost of one mapping from the node-cost matrix ``d`` and the raw
+    adjacency matrices ``a`` and ``b``.
 
     The edited slots are counted over whole matrices: both are symmetric, so
     a vertex pair that differs counts twice, and graphs refuse self-loops, so
-    both diagonals are zero and add nothing; half the count is exact.
+    both diagonals are zero and add nothing; half the count is exact. The
+    node costs go to :func:`_mapping_costs` as Python floats, one gather for
+    each kind of term and no per-call numpy wrapper.
     """
-    n = d.shape[0]
-    edited = np.count_nonzero(a != b[perms[:, :, None], perms[:, None, :]], axis=(1, 2)) // 2
-    return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
+    m = np.array(mapping, dtype=np.int64)
+    edited = int((a != b[m[:, None], m]).sum()) // 2
+    return _mapping_costs(d[np.arange(len(m)), m].tolist(), edited, k2)
 
 
 def _sums_are_exact(d: np.ndarray, k2: float) -> bool:
@@ -168,8 +170,9 @@ def _sums_are_exact(d: np.ndarray, k2: float) -> bool:
     k2 = float(k2)
     return (
         k2.is_integer()
-        and bool(np.all((np.floor(d) == d) & (d < 2.0**53)))  # so d.sum() cannot overflow
-        and bool(d.sum() + k2 * n * n < 2.0**53)
+        # so the sum cannot overflow
+        and bool(np.logical_and.reduce((np.floor(d) == d) & (d < 2.0**53), None))
+        and bool(np.add.reduce(d, None) + k2 * n * n < 2.0**53)
     )
 
 
@@ -180,27 +183,32 @@ def lower_bound(d: np.ndarray, a: np.ndarray, b: np.ndarray, k2: float) -> float
     and at least each column's minimum. Each edited edge slot changes two node
     degrees by one, so a bijection ``pi`` edits at least
     ``ceil(sum_v |deg_a(v) - deg_b(pi(v))| / 2)`` slots; the sum is smallest
-    when both degree sequences of the adjacency matrices ``a`` and ``b``
-    (padding rows count as degree 0) are sorted. The count of edited slots,
-    ``|E_a| + |E_b| - 2 |common|``, has the parity of ``|E_a| + |E_b|``, so
-    the slot bound is rounded up to that parity; it is never below
-    ``| |E_a| - |E_b| |``. The bound is the larger node sum plus ``k2`` times
-    the slot bound.
+    when both degree sequences, the row sums of the 0/1 adjacency matrices
+    ``a`` and ``b`` (padding rows count as degree 0), are sorted. The count
+    of edited slots, ``|E_a| + |E_b| - 2 |common|``, has the parity of
+    ``|E_a| + |E_b|``, so the slot bound is rounded up to that parity; it is
+    never below ``| |E_a| - |E_b| |``. The bound is the larger node sum plus
+    ``k2`` times the slot bound.
 
     It is returned only when it is exact in float64 and so is the cost of
     every mapping (:func:`_sums_are_exact`). A mapping whose cost is at most
-    the bound is then optimal, bit for bit. Otherwise ``None``.
+    the bound is then optimal, bit for bit. Otherwise ``None``. Every sum is
+    then exact, so the order in which the sums run does not change the bits;
+    they call the ufunc reductions without numpy's per-call wrappers.
     """
     n = d.shape[0]
     if not _sums_are_exact(d, k2):
         return None
     if n == 0:
         return 0.0
-    node = max(d.min(axis=1).sum(), d.min(axis=0).sum())
-    deg_a = np.sort(np.count_nonzero(a, axis=1))
-    deg_b = np.sort(np.count_nonzero(b, axis=1))
-    slots = (int(np.abs(deg_a - deg_b).sum()) + 1) // 2
-    edges = (int(deg_a.sum()) + int(deg_b.sum())) // 2
+    total = np.add.reduce
+    node = max(total(np.minimum.reduce(d, 1)), total(np.minimum.reduce(d, 0)))
+    deg_a = total(a, 1)
+    deg_b = total(b, 1)
+    deg_a.sort()
+    deg_b.sort()
+    slots = (int(total(abs(deg_a - deg_b))) + 1) // 2
+    edges = int(total(deg_a) + total(deg_b)) // 2
     slots += (slots - edges) % 2
     return float(node + k2 * slots)
 

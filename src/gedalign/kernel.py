@@ -33,7 +33,8 @@ def objective(a: np.ndarray, b: np.ndarray, d: np.ndarray, p: np.ndarray, lam: f
     r = a @ p - p @ b
     value = 0.5 * float(total(r * r, None))
     value += float(total(p * d, None))
-    value += lam * float(total(p * (1.0 - p), None))
+    if lam != 0.0:  # as in gradient; the value is never -0.0, so the bits stay
+        value += lam * float(total(p * (1.0 - p), None))
     return value
 
 

@@ -17,14 +17,17 @@ Before the first round the solve computes the certified lower bound of
 that costs no more than the bound is optimal, and the solve stops with
 ``converged_reason="certified_optimal"`` as soon as it has one: at a round's
 end, or inside a round, where the iterate is rounded and scored after each
-step count in :data:`CHECK_STEPS`. A check that does not certify changes
-nothing, so a solve that never certifies inside a round is the solve without
-checks, bit for bit. A solve that does returns the bound, the true distance;
-its estimate is never above the one without checks, and its mapping may be a
-different optimal one. The checks come at powers of two from step 1: at
-n=8 a check, one rounding and one score, takes about 80 µs against about
-50 µs for a step (2-vCPU Xeon, one BLAS thread), and most solves that
-certify inside a round meet the bound after its first step.
+step count in :data:`CHECK_STEPS`. Step 0 is checked in round 1 only: the
+identity start's rounding is the identity, scored without an assignment,
+and a start that meets the bound ends the solve before any gradient. A check
+that does not certify changes nothing, so a solve that never certifies
+inside a round is the solve without checks, bit for bit. A solve that does
+returns the bound, the true distance; its estimate is never above the one
+without checks, and its mapping may be a different optimal one. The checks
+come at step 0 and at powers of two from step 1: at n=8 the step-0 check
+takes about 9 µs, a later one, one rounding and one score, about 33 µs, and
+a step about 39 µs (2-vCPU Xeon, one BLAS thread). On corpus_n8 the identity
+start meets the bound on about nine pairs in ten.
 
 Every cost and ``lambda_step`` is at most :data:`costs.MAX_COST`, so every
 objective, gradient, step and score of a solve is finite (the ``costs``
@@ -44,7 +47,7 @@ import numpy as np
 
 from .assignment import Permutation, _augmenting_path_lap, round_to_permutation
 from .costs import MAX_COST, CostModel, build_cost_matrix
-from .editpath import EditPath, _score_block, extract_edit_path, lower_bound
+from .editpath import EditPath, _score_mapping, extract_edit_path, lower_bound
 from .graphs import LabeledGraph, adjacency, pad_pair
 from .kernel import gradient, objective
 
@@ -61,8 +64,10 @@ INNER_TOL = 1e-7
 
 #: With a certified lower bound, a round rounds and scores its iterate after
 #: each of these step counts, and ends the solve when the mapping meets the
-#: bound. At n=8 a check costs about 1.6 steps (module docstring).
-CHECK_STEPS = (1, 2, 4, 8, 16)
+#: bound. Step 0 is checked in round 1 only, on the identity start, whose
+#: rounding needs no assignment; later rounds start from an iterate whose
+#: rounding already failed the bound. Costs in the module docstring.
+CHECK_STEPS = (0, 1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -205,15 +210,16 @@ def estimate_ged(
     b_scaled = kappa * b
 
     def score(mapping: Permutation) -> tuple[Permutation, float]:
-        perms = np.array(mapping.mapping, dtype=np.int64)[None, :]
-        return mapping, float(_score_block(d, a, b, perms, cm.edge_cost_squared)[0])
+        return mapping, _score_mapping(d, a, b, mapping.mapping, cm.edge_cost_squared)
 
     def certify(p: np.ndarray) -> tuple[Permutation, float] | None:
         mapping, cost = score(round_to_permutation(p))
         return (mapping, cost) if cost <= lb else None
 
     p = np.eye(n, dtype=np.float64)
-    rounded = None  # the scored rounding of p, once known
+    # the scored rounding of p, once known; -I has one optimal assignment, so
+    # the identity start's rounding is the identity
+    rounded = score(Permutation.identity(n)) if lb is not None and 0 in CHECK_STEPS else None
     lam = 0.0
     best_ged = math.inf  # round 1's candidate is finite, so it sets best_mapping
     stall = 0
@@ -221,14 +227,17 @@ def estimate_ged(
     rounds = 0
     while True:
         rounds += 1
-        p, inner_iters, value, certified = inner_minimize(
-            a_scaled, b_scaled, d, p, lam, None if lb is None else certify
-        )
+        if rounds == 1 and rounded is not None and rounded[1] <= lb:  # the step-0 check
+            inner_iters, value, certified = 0, objective(a_scaled, b_scaled, d, p, lam), rounded
+        else:
+            p, inner_iters, value, certified = inner_minimize(
+                a_scaled, b_scaled, d, p, lam, None if lb is None else certify
+            )
         if certified is not None:
             rounded = certified
         elif inner_iters:
             rounded = score(round_to_permutation(p))
-        elif rounded is None:  # the identity start: -I has one optimal assignment
+        elif rounded is None:  # the identity start
             rounded = score(Permutation.identity(n))
         candidate_mapping, candidate = rounded
         trace.append(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gedalign import LabeledGraph, adjacency, build_cost_matrix, make_graph, pad_pair
-from gedalign.editpath import _score_block
+from gedalign.editpath import _mapping_costs
 from gedalign.kernel import value_and_grad
 
 
@@ -65,15 +65,31 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return best_total, best_perm
 
 
+def score_block(
+    d: np.ndarray, a: np.ndarray, b: np.ndarray, perms: np.ndarray, k2: float
+) -> np.ndarray:
+    """Costs of the mappings in ``perms`` (one per row) from the node-cost
+    matrix ``d`` and the raw adjacency matrices ``a`` and ``b``, all at once:
+    the block reference for ``editpath._score_mapping``.
+
+    The edited slots are counted over whole matrices: both are symmetric, so
+    a vertex pair that differs counts twice, and graphs refuse self-loops, so
+    both diagonals are zero and add nothing; half the count is exact.
+    """
+    n = d.shape[0]
+    edited = np.count_nonzero(a != b[perms[:, :, None], perms[:, None, :]], axis=(1, 2)) // 2
+    return _mapping_costs(d[np.arange(n), perms].T, edited, k2)
+
+
 def brute_force_ged(g1, g2, cm) -> tuple[float, tuple[int, ...]]:
     """Reference oracle: every mapping in lexicographic order, scored by
-    ``_score_block``; the first of the cheapest is kept."""
+    ``score_block``; the first of the cheapest is kept."""
     pair = pad_pair(g1, g2)
     n = pair.order
     d = build_cost_matrix(pair, cm)
     a, b = adjacency(pair.g1, n), adjacency(pair.g2, n)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    totals = _score_block(d, a, b, perms, cm.edge_cost_squared)
+    totals = score_block(d, a, b, perms, cm.edge_cost_squared)
     k = int(np.argmin(totals))  # the first occurrence of the minimum
     return float(totals[k]), tuple(perms[k].tolist())
 

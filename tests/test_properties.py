@@ -11,6 +11,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gedalign import (  # noqa: E402
     CostModel,
     GedError,
+    Permutation,
     SolverConfig,
     adjacency,
     build_cost_matrix,
@@ -36,8 +38,8 @@ from gedalign import (  # noqa: E402
 import gedalign.solver as solver_module  # noqa: E402
 from gedalign.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main  # noqa: E402
 from gedalign.costs import MAX_COST  # noqa: E402
-from gedalign.editpath import lower_bound  # noqa: E402
-from conftest import brute_force_ged  # noqa: E402
+from gedalign.editpath import _score_mapping, extract_edit_path, lower_bound  # noqa: E402
+from conftest import brute_force_ged, score_block  # noqa: E402
 
 #: integer labels, so that case2's nearest-label substitution applies
 LABELS = ("0", "1", "2", "3")
@@ -169,6 +171,67 @@ def test_exact_ged_is_the_first_cheapest_mapping(g1, g2, cm):
     result = exact_ged(g1, g2, cm)
     assert result.ged.hex() == ged.hex()
     assert result.optimal_mapping.mapping == mapping
+
+
+def _reference_lower_bound(d, a, b, k2):
+    """The bound on numpy's wrapped calls (``np.all``, ``ndarray.sum``,
+    ``np.count_nonzero`` over rows, ``np.sort``), kept as the reference of
+    ``editpath.lower_bound``: the same terms, each from the whole matrix."""
+    n = d.shape[0]
+    k2 = float(k2)
+    if not (
+        k2.is_integer()
+        and bool(np.all((np.floor(d) == d) & (d < 2.0**53)))
+        and bool(d.sum() + k2 * n * n < 2.0**53)
+    ):
+        return None
+    if n == 0:
+        return 0.0
+    node = max(d.min(axis=1).sum(), d.min(axis=0).sum())
+    deg_a = np.sort(np.count_nonzero(a, axis=1))
+    deg_b = np.sort(np.count_nonzero(b, axis=1))
+    slots = (int(np.abs(deg_a - deg_b).sum()) + 1) // 2
+    edges = (int(deg_a.sum()) + int(deg_b.sum())) // 2
+    slots += (slots - edges) % 2
+    return float(node + k2 * slots)
+
+
+#: integral, fractional and ceiling costs: the bound exists, or is refused for
+#: a fractional cost or for sums past 2**53
+SCORED_COST_MODELS = st.sampled_from(ORACLE_COST_MODELS) | extreme_cost_models()
+
+
+def _matrices(g1, g2, cm):
+    pair = pad_pair(g1, g2)
+    n = pair.order
+    return pair, build_cost_matrix(pair, cm), adjacency(pair.g1, n), adjacency(pair.g2, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g1=graphs(max_order=7), g2=graphs(max_order=7), cm=SCORED_COST_MODELS)
+def test_lower_bound_equals_its_reference(g1, g2, cm):
+    # empty and padded pairs included; None exactly where the reference
+    # refuses, and otherwise the same bits
+    _, d, a, b = _matrices(g1, g2, cm)
+    bound = lower_bound(d, a, b, cm.edge_cost_squared)
+    expected = _reference_lower_bound(d, a, b, cm.edge_cost_squared)
+    assert (bound is None) == (expected is None)
+    if bound is not None:
+        assert bound.hex() == expected.hex()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g1=graphs(max_order=7), g2=graphs(max_order=7), cm=SCORED_COST_MODELS, data=st.data())
+def test_one_mapping_scores_as_in_a_block_and_in_its_edit_path(g1, g2, cm, data):
+    # the solver's one-mapping score has the bits of the block reference on a
+    # block of one and of the edit path's total, fractional costs included
+    pair, d, a, b = _matrices(g1, g2, cm)
+    mapping = tuple(data.draw(st.permutations(range(pair.order))))
+    k2 = cm.edge_cost_squared
+    cost = _score_mapping(d, a, b, mapping, k2)
+    block = score_block(d, a, b, np.array([mapping], dtype=np.int64), k2)
+    assert cost.hex() == float(block[0]).hex()
+    assert cost.hex() == extract_edit_path(pair, Permutation(mapping), cm).total_cost.hex()
 
 
 #: names the readers look up and the drawn corpus's two graph files, so that
