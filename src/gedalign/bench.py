@@ -22,10 +22,8 @@ import csv
 import io
 import itertools
 import json
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,6 +288,11 @@ def run_bench(
     if workers <= 1 or len(cases) <= 1:
         rows = [_solve_case(job) for job in jobs]
     else:
+        # imported only here: the two add about 1.6 MB to every process that
+        # imports the package, and only a parallel run uses them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             rows = list(pool.map(_solve_case, jobs))

@@ -188,6 +188,33 @@ def test_optimality_recovery_under_node_shuffle(standard_cases):
     )
 
 
+@pytest.mark.parametrize("seed, wrong_in_order, wrong_shuffled", [(20240501, 0, 1), (31337, 0, 1)])
+def test_corpus_n8_wrong_counts(seed, wrong_in_order, wrong_shuffled):
+    """Pins how many of the benchmark's 200 corpus_n8 estimates exceed the
+    oracle truth, in generator order and shuffled. Swap descent took the
+    shuffled counts from 8 and 8 to 1 and 1, and the count in generator order
+    at 20240501 from 1 to 0."""
+    cm = builtin_cost_model("case3")
+    cases = generate_pairs(
+        seed=seed,
+        count=200,
+        n_range=(5, 8),
+        edit_range=(0, 2),
+        label_alphabet=("0", "1", "2", "3"),
+        cm=cm,
+        max_order=8,
+    )
+    wrong = [
+        sum(estimate_ged(c.g1, c.g2, cm).estimated_ged > c.true_ged for c in corpus)
+        for corpus in (cases, shuffled_cases(cases))
+    ]
+    announce(
+        f"corpus_n8-wrong-counts-{seed}",
+        wrong == [wrong_in_order, wrong_shuffled],
+        f"{wrong[0]} wrong in generator order (== {wrong_in_order}), "
+        f"{wrong[1]} shuffled (== {wrong_shuffled}), of 200",
+    )
+
 def test_gradient_correctness():
     """Analytic gradient against central finite differences."""
     rng = np.random.default_rng(303)

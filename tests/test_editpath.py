@@ -20,12 +20,16 @@ from gedalign import (
     make_graph,
     pad_pair,
 )
+import gedalign.editpath as editpath_module
 from gedalign.editpath import (
     EdgeDelete,
     EdgeInsert,
     NodeDelete,
     NodeInsert,
     NodeSubstitute,
+    _score_mapping,
+    _swap_deltas,
+    _swap_descent,
     lower_bound,
 )
 from gedalign.kernel import value_and_grad
@@ -420,6 +424,103 @@ class TestLowerBound:
         assert lower_bound(np.full((2, 2), 1e308), a, b, 1.0) is None
         empty = np.zeros((0, 0))
         assert lower_bound(empty, empty, empty, 1.0) == 0.0
+
+
+def _arrays(pair, cm):
+    """The node-cost matrix and the raw adjacency matrices of ``pair``."""
+    n = pair.order
+    return build_cost_matrix(pair, cm), adjacency(pair.g1, n), adjacency(pair.g2, n)
+
+
+def _swapped(mapping, i, j):
+    m = list(mapping)
+    m[i], m[j] = m[j], m[i]
+    return tuple(m)
+
+
+class TestSwapDescent:
+    def test_each_swap_taken_changes_the_path_total_by_its_prediction(self, monkeypatch):
+        # under integer costs the prediction is exact: every swap the pass
+        # keeps moves the edit path's total by exactly the predicted change.
+        # Each kept swap is followed by one more prediction, so consecutive
+        # predictions bracket every swap taken
+        predictions = []
+
+        def recording(d, a, b, m, k2):
+            delta = _swap_deltas(d, a, b, m, k2)
+            predictions.append((tuple(m.tolist()), delta.copy()))
+            return delta
+
+        monkeypatch.setattr(editpath_module, "_swap_deltas", recording)
+        taken = 0
+        for k, setting in enumerate(("case1", "case2", "case3")):
+            cm = builtin_cost_model(setting)
+            cases = generate_pairs(
+                seed=2600 + k, count=12, n_range=(3, 9), edit_range=(1, 5),
+                label_alphabet=("0", "1", "2"), cm=cm, edge_prob=0.4, max_order=9,
+                oracle_budget=0,
+            )
+            rng = np.random.default_rng(k)
+            for case in cases:
+                pair = pad_pair(case.g1, case.g2)
+                d, a, b = _arrays(pair, cm)
+                start = tuple(int(x) for x in rng.permutation(pair.order))
+                cost = _score_mapping(d, a, b, start, cm.edge_cost_squared)
+                predictions.clear()
+                mapping, descended = _swap_descent(d, a, b, start, cost, cm.edge_cost_squared)
+                assert predictions[0][0] == start and predictions[-1][0] == mapping
+                for (before, delta), (after, _) in zip(predictions, predictions[1:]):
+                    i, j = (v for v in range(pair.order) if before[v] != after[v])
+                    assert after == _swapped(before, i, j)
+                    change = (
+                        extract_edit_path(pair, Permutation(after), cm).total_cost
+                        - extract_edit_path(pair, Permutation(before), cm).total_cost
+                    )
+                    assert change == delta[i, j] < 0.0
+                    taken += 1
+                assert descended == extract_edit_path(pair, Permutation(mapping), cm).total_cost
+        assert taken >= 50  # 74 at these seeds
+
+    def test_prediction_of_every_swap_is_exact_under_integer_costs(self, rng):
+        for trial in range(30):
+            cm = builtin_cost_model(("case1", "case2", "case3")[trial % 3])
+            g1 = random_graph(rng, int(rng.integers(2, 8)), ("0", "1", "2"), 0.4)
+            g2 = random_graph(rng, int(rng.integers(2, 8)), ("0", "1", "2"), 0.4)
+            pair = pad_pair(g1, g2)
+            d, a, b = _arrays(pair, cm)
+            k2 = cm.edge_cost_squared
+            m = tuple(int(x) for x in rng.permutation(pair.order))
+            cost = _score_mapping(d, a, b, m, k2)
+            delta = _swap_deltas(d, a, b, np.array(m), k2)
+            for i, j in itertools.combinations(range(pair.order), 2):
+                assert delta[i, j] == delta[j, i] == _score_mapping(
+                    d, a, b, _swapped(m, i, j), k2
+                ) - cost
+
+    def test_returns_a_local_optimum(self, rng):
+        # no single swap of the result scores strictly below it, checked by
+        # brute force over every swap, and its cost is its exact score
+        for trial in range(60):
+            cm = builtin_cost_model(("case1", "case2", "case3")[trial % 3])
+            g1 = random_graph(rng, int(rng.integers(0, 8)), ("0", "1", "2"), 0.4)
+            g2 = random_graph(rng, int(rng.integers(0, 8)), ("0", "1", "2"), 0.4)
+            pair = pad_pair(g1, g2)
+            d, a, b = _arrays(pair, cm)
+            k2 = cm.edge_cost_squared
+            start = tuple(int(x) for x in rng.permutation(pair.order))
+            start_cost = _score_mapping(d, a, b, start, k2)
+            mapping, cost = _swap_descent(d, a, b, start, start_cost, k2)
+            assert cost == _score_mapping(d, a, b, mapping, k2) <= start_cost
+            for i, j in itertools.combinations(range(pair.order), 2):
+                assert _score_mapping(d, a, b, _swapped(mapping, i, j), k2) >= cost
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_orders_below_two_return_the_input(self, n):
+        d = np.full((n, n), 3.0)
+        a = b = np.zeros((n, n))
+        mapping = tuple(range(n))
+        result = _swap_descent(d, a, b, mapping, 3.0 * n, 1.0)
+        assert result[0] is mapping and result[1] == 3.0 * n
 
 
 class TestObjectiveEquivalence:

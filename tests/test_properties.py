@@ -89,6 +89,35 @@ def test_checks_inside_a_round_lower_no_estimate(g1, g2, setting):
         assert report.estimated_ged == report.lower_bound == exact_ged(g1, g2, cm).ged
 
 
+def _no_descent(d, a, b, mapping, cost, k2):
+    return mapping, cost
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    g1=graphs(max_order=7),
+    g2=graphs(max_order=7),
+    setting=st.sampled_from(("case1", "case2", "case3")),
+)
+def test_swap_descent_lowers_no_estimate_and_keeps_the_rounds(g1, g2, setting):
+    # descent can only lower the reported cost, which stays the exact cost of
+    # its own edit path and mapping. Patience and the trace count the
+    # undescended candidates, so until a descended mapping certifies the
+    # solve runs the undescended solve's rounds, bit for bit
+    cm = builtin_cost_model(setting)
+    report = estimate_ged(g1, g2, cm)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_swap_descent", _no_descent)
+        undescended = estimate_ged(g1, g2, cm)
+    replay = ged_under_mapping(pad_pair(g1, g2), report.permutation, cm)
+    assert report.estimated_ged <= undescended.estimated_ged
+    assert report.estimated_ged.hex() == report.edit_path.total_cost.hex() == replay.hex()
+    if report.converged_reason == solver_module.CERTIFIED_OPTIMAL:
+        assert len(report.trace) <= len(undescended.trace)
+    else:
+        assert report.trace == undescended.trace
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     g1=graphs(max_order=7),
