@@ -170,8 +170,8 @@ def _swap_deltas(
     With ``Bm = b[m][:, m]`` and ``C = a @ Bm`` on the raw 0/1 adjacency
     matrices, the swap changes the edited-slot count by
     ``-2 (C_ij + C_ji - C_ii - C_jj) - 4 a_ij Bm_ij`` and the node cost by
-    ``d[i, m_j] + d[j, m_i] - d[i, m_i] - d[j, m_j]``. The result is
-    symmetric with a zero diagonal; under integer costs every entry is exact.
+    ``d[i, m_j] + d[j, m_i] - d[i, m_i] - d[j, m_j]``. The result is exactly
+    symmetric with a +0.0 diagonal; under integer costs every entry is exact.
     """
     bm = b[m[:, None], m]
     c = a @ bm
@@ -208,12 +208,12 @@ def _swap_descent(
     n = len(mapping)
     if n < 2:
         return mapping, cost
-    # adding it leaves i < j and blocks the diagonal and i > j
-    blocked = np.where(np.tri(n, dtype=bool), math.inf, 0.0)
     m = np.array(mapping, dtype=np.int64)
     while True:
+        # each delta is built by commutative IEEE sums and products of terms
+        # symmetric in i and j, so the matrix equals its transpose bit for bit
+        # and has a +0.0 diagonal: a negative minimum first occurs at i < j
         delta = _swap_deltas(d, a, b, m, k2)
-        delta += blocked
         best = int(delta.argmin())
         if not delta.flat[best] < 0.0:
             break

@@ -53,9 +53,3 @@ def gradient(
         g += lam * (1.0 - 2.0 * p)
     return g
 
-
-def value_and_grad(
-    a: np.ndarray, b: np.ndarray, d: np.ndarray, p: np.ndarray, lam: float
-) -> tuple[float, np.ndarray]:
-    """:func:`objective` and :func:`gradient` at one ``P``, with their bits."""
-    return objective(a, b, d, p, lam), gradient(a, b, d, p, lam)

@@ -11,7 +11,7 @@ Riesen, Fischer & Bunke, Pattern Recognition 2015), whose every kept swap is
 re-scored exactly. The regularizer weight grows by a fixed step per round.
 The best descended mapping over all rounds is reported; by construction it
 can only overestimate the true distance. Patience and the trace count the
-undescended rounding, so a solve runs the rounds of the solve without
+undescended rounding's cost, so a solve runs the rounds of the solve without
 descent unless a descended mapping certifies sooner. The trace records, per
 round, the relaxed objective at the iterate it rounded. The kernel takes
 plain arrays, all built once per solve from one pair, and the problem keeps
@@ -93,6 +93,9 @@ class SolverConfig:
     inner_max_iters: ClassVar[int] = 30  # Frank–Wolfe steps per round
 
     def __post_init__(self) -> None:
+        # as costs._check_cost: a bool is no weight, and a non-number no operand
+        if not isinstance(self.lambda_step, (int, float)) or isinstance(self.lambda_step, bool):
+            raise ValueError(f"lambda_step must be a number, got {self.lambda_step!r}")
         if not 0 <= self.lambda_step <= MAX_COST:
             raise ValueError(f"lambda_step must be from 0 to {MAX_COST:g}")
 
@@ -198,7 +201,7 @@ def estimate_ged(
     round: minimize from the previous round's iterate, round it to a
     permutation, score that mapping exactly and, unless it meets the
     certified lower bound, descend from it by swaps. A round that takes no
-    step keeps its start's scored rounding and descent: the previous round's,
+    step keeps its start's rounding cost and descent: the previous round's,
     or in round 1 the identity's, whose matrix has no other optimal rounding,
     scored without an assignment. The problem itself never changes during a
     solve. The regularizer weight increases by ``lambda_step`` per round.
@@ -222,48 +225,46 @@ def estimate_ged(
     a_scaled = kappa * a
     b_scaled = kappa * b
 
-    def scored(mapping: Permutation) -> tuple[tuple[Permutation, float], ...]:
-        """The mapping with its exact cost, and the same after swap descent
-        unless that cost already meets the bound."""
+    def scored(mapping: Permutation) -> tuple[float, tuple[Permutation, float]]:
+        """The mapping's exact cost, and the mapping with that cost after swap
+        descent unless the cost already meets the bound."""
         cost = _score_mapping(d, a, b, mapping.mapping, k2)
         if lb is not None and cost <= lb:
-            return (mapping, cost), (mapping, cost)
+            return cost, (mapping, cost)
         descended, lowered = _swap_descent(d, a, b, mapping.mapping, cost, k2)
-        return (mapping, cost), (Permutation(descended), lowered)
+        return cost, (Permutation(descended), lowered)
 
     def certify(p: np.ndarray) -> tuple[Permutation, float] | None:
         mapping, cost = scored(round_to_permutation(p))[1]
         return (mapping, cost) if cost <= lb else None
 
     p = np.eye(n, dtype=np.float64)
-    # the scored rounding of p and its descent, once known; -I has one optimal
-    # assignment, so the identity start's rounding is the identity
-    rounded = None
-    if lb is not None and 0 in CHECK_STEPS:
-        rounded, descended = scored(Permutation.identity(n))
+    # the cost of p's rounding and that rounding's descent, once known; -I has
+    # one optimal assignment, so the identity start's rounding is the identity
+    candidate = certified = None
+    if lb is not None and 0 in CHECK_STEPS:  # the step-0 check
+        candidate, descended = scored(Permutation.identity(n))
+        certified = descended if descended[1] <= lb else None
     lam = 0.0
     best_candidate = best_ged = math.inf  # round 1's scores are finite and set both
     stall = 0
     trace: list[RoundRecord] = []
-    rounds = 0
     while True:
-        rounds += 1
-        if rounds == 1 and rounded is not None and descended[1] <= lb:  # the step-0 check
-            inner_iters, value, certified = 0, objective(a_scaled, b_scaled, d, p, lam), descended
-        else:
+        if certified is None:
             p, inner_iters, value, certified = inner_minimize(
                 a_scaled, b_scaled, d, p, lam, None if lb is None else certify
             )
+        else:  # the step-0 check certified; a later certificate ends the solve
+            inner_iters, value = 0, objective(a_scaled, b_scaled, d, p, lam)
         if certified is not None:
-            rounded = descended = certified
-        elif inner_iters:
-            rounded, descended = scored(round_to_permutation(p))
-        elif rounded is None:  # the identity start
-            rounded, descended = scored(Permutation.identity(n))
-        candidate = rounded[1]
+            candidate, descended = certified[1], certified
+        elif inner_iters or candidate is None:
+            candidate, descended = scored(
+                round_to_permutation(p) if inner_iters else Permutation.identity(n)
+            )
         trace.append(
             RoundRecord(
-                round_index=rounds,
+                round_index=len(trace) + 1,
                 lam=lam,
                 inner_iterations=inner_iters,
                 candidate_ged=candidate,
@@ -271,7 +272,7 @@ def estimate_ged(
             )
         )
         logger.debug(
-            "round %d: lam=%.3g inner=%d candidate=%.6g", rounds, lam, inner_iters, candidate
+            "round %d: lam=%.3g inner=%d candidate=%.6g", len(trace), lam, inner_iters, candidate
         )
         if candidate < best_candidate:
             best_candidate = candidate
@@ -286,7 +287,7 @@ def estimate_ged(
         if stall >= cfg.patience:
             reason = PATIENCE_EXHAUSTED
             break
-        if rounds >= cfg.lambda_max_rounds:
+        if len(trace) >= cfg.lambda_max_rounds:
             reason = LAMBDA_ROUNDS_EXHAUSTED
             break
         lam += cfg.lambda_step

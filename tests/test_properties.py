@@ -38,7 +38,12 @@ from gedalign import (  # noqa: E402
 import gedalign.solver as solver_module  # noqa: E402
 from gedalign.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main  # noqa: E402
 from gedalign.costs import MAX_COST  # noqa: E402
-from gedalign.editpath import _score_mapping, extract_edit_path, lower_bound  # noqa: E402
+from gedalign.editpath import (  # noqa: E402
+    _score_mapping,
+    _swap_deltas,
+    extract_edit_path,
+    lower_bound,
+)
 from conftest import brute_force_ged, score_block  # noqa: E402
 
 #: integer labels, so that case2's nearest-label substitution applies
@@ -116,6 +121,37 @@ def test_swap_descent_lowers_no_estimate_and_keeps_the_rounds(g1, g2, setting):
         assert len(report.trace) <= len(undescended.trace)
     else:
         assert report.trace == undescended.trace
+
+
+#: a fractional model beside the built-in ones: its deltas are inexact sums
+FRACTIONAL = CostModel(1.5, 0.7, 1.3, 0.4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    g1=graphs(max_order=8),
+    g2=graphs(max_order=8),
+    setting=st.sampled_from(("case1", "case2", "case3", "fractional")),
+    data=st.data(),
+)
+def test_swap_deltas_are_symmetric_so_the_first_negative_minimum_has_i_below_j(
+    g1, g2, setting, data
+):
+    # swap descent takes the first argmin over the whole matrix and needs no
+    # mask: the deltas equal their transpose bit for bit and the diagonal is
+    # +0.0, so a negative minimum first occurs above the diagonal
+    cm = FRACTIONAL if setting == "fractional" else builtin_cost_model(setting)
+    pair = pad_pair(g1, g2)
+    n = pair.order
+    a, b = adjacency(pair.g1, n), adjacency(pair.g2, n)
+    d = build_cost_matrix(pair, cm)
+    m = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    delta = _swap_deltas(d, a, b, m, cm.edge_cost_squared)
+    assert delta.tobytes() == delta.T.tobytes()
+    assert all(math.copysign(1.0, x) == 1.0 and x == 0.0 for x in delta.diagonal())
+    if n and delta.min() < 0.0:
+        i, j = divmod(int(delta.argmin()), n)
+        assert i < j
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -24,7 +24,7 @@ from gedalign import (
     pad_pair,
 )
 from gedalign.costs import MAX_COST
-from gedalign.kernel import objective, value_and_grad
+from gedalign.kernel import objective
 from gedalign.solver import (
     CERTIFIED_OPTIMAL,
     CHECK_STEPS,
@@ -88,11 +88,11 @@ class TestFrankWolfe:
             # a gradient at every iterate before the last, which is returned
             iterates = [args[3] for args, _ in gradient_calls[:iters]] + [last]
             for k in range(iters):
-                p, value = iterates[k], value_and_grad(a, b, d, iterates[k + 1], lam)[0]
+                p, value = iterates[k], objective(a, b, d, iterates[k + 1], lam)
                 cols = lap_calls[k][1][0]
                 delta = -p
                 delta[np.arange(len(cols)), cols] += 1.0
-                along = [value_and_grad(a, b, d, p + t * delta, lam)[0] for t in grid]
+                along = [objective(a, b, d, p + t * delta, lam) for t in grid]
                 assert value <= min(along) + 1e-12 * max(1.0, abs(value))
             steps += iters
         assert steps >= 12
@@ -125,7 +125,7 @@ class TestInnerMinimize:
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         p, _, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
-        assert value_and_grad(a, b, d, p, 0.0)[0] == 0.0
+        assert objective(a, b, d, p, 0.0) == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
         # one edge against two isolated nodes: spreading mass lowers the
@@ -136,9 +136,9 @@ class TestInnerMinimize:
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
-        value_at_start = value_and_grad(a, b, d, start, 0.0)[0]
+        value_at_start = objective(a, b, d, start, 0.0)
         p, _, _, _ = inner_minimize(a, b, d, start, 0.0)
-        assert value_and_grad(a, b, d, p, 0.0)[0] < value_at_start
+        assert objective(a, b, d, p, 0.0) < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
         for _ in range(10):
@@ -154,13 +154,13 @@ class TestInnerMinimize:
             p0 = sum(np.eye(pair.order)[rng.permutation(pair.order)] for _ in range(3)) / 3.0
             p, _, _, _ = inner_minimize(a, b, d, p0, 1.0)
             assert (
-                value_and_grad(a, b, d, p, 1.0)[0]
-                <= value_and_grad(a, b, d, p0, 1.0)[0] + INNER_TOL
+                objective(a, b, d, p, 1.0)
+                <= objective(a, b, d, p0, 1.0) + INNER_TOL
             )
 
     def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
         # the loop evaluates the objective once, at the iterate it returns,
-        # with the bits of value_and_grad there: at lam 0 and above, with no
+        # with the bits of `objective` there: at lam 0 and above, with no
         # certificate, with checks that fail and with one that ends the loop
         mark = (Permutation(()), 0.0)
         for certify, ends in ((None, False), (lambda p: None, False), (lambda p: mark, True)):
@@ -179,7 +179,7 @@ class TestInnerMinimize:
                 p, iters, value, certified = inner_minimize(
                     a, b, d, np.eye(pair.order), lam, certify
                 )
-                assert value.hex() == value_and_grad(a, b, d, p, lam)[0].hex()
+                assert value.hex() == objective(a, b, d, p, lam).hex()
                 if ends and iters:
                     assert certified is mark and iters == next(k for k in CHECK_STEPS if k)
                 else:
@@ -284,6 +284,37 @@ class TestSolvePair:
         monkeypatch.setattr(solver_module, "CHECK_STEPS", ())
         assert digest() == "63997d7836705e64126fc213e203e5787e9a29c5d570f9183c8275da34c16749"
 
+    def test_pinned_outputs_without_a_bound(self):
+        # fractional costs give no certified bound, so no check runs and every
+        # solve ends on patience or the round cap. 118 of these 241 rounds
+        # take no step and keep their start's scored rounding and descent;
+        # the digest pins that path in generator order and with shuffled nodes
+        cm = CostModel(1.5, 0.7, 1.3, 0.4)
+        cases = generate_pairs(
+            seed=1700, count=30, n_range=(0, 8), edit_range=(1, 5),
+            label_alphabet=("0", "1", "2"), cm=cm, edge_prob=0.4, max_order=8,
+            oracle_budget=0,
+        )
+        h = hashlib.sha256()
+        steps = []
+        for case in cases + shuffled_cases(cases):
+            report = estimate_ged(case.g1, case.g2, cm)
+            assert report.lower_bound is None
+            rounds = [
+                (rec.candidate_ged, rec.inner_iterations, rec.objective_value.hex())
+                for rec in report.trace
+            ]
+            outputs = (
+                report.estimated_ged.hex(),
+                report.permutation.mapping,
+                report.converged_reason,
+                rounds,
+            )
+            h.update(repr(outputs).encode())
+            steps += [rec.inner_iterations for rec in report.trace]
+        assert 0 in steps and max(steps) > 0
+        assert h.hexdigest() == "448df1b0e8443057b8ee1e704a0576b57f6eaf1163f54d640013c332412b5fec"
+
     def test_lambda_round_cap(self, monkeypatch):
         monkeypatch.setattr(SolverConfig, "lambda_max_rounds", 2)
         report = estimate_ged(CYCLE6, TWO_TRIANGLES, builtin_cost_model("case3"))
@@ -375,8 +406,8 @@ class TestSolvePair:
                 gradients = calls[start:end]
                 assert len(gradients) - rec.inner_iterations in (0, 1)
                 _, args, value = calls[end]
-                seen = [value_and_grad(*call_args)[0] for _, call_args, _ in gradients]
-                assert rec.objective_value == value == value_and_grad(*args)[0]
+                seen = [objective(*call_args) for _, call_args, _ in gradients]
+                assert rec.objective_value == value == objective(*args)
                 assert value == min(seen + [value])
                 start = end + 1
 
@@ -595,6 +626,17 @@ class TestSolverConfigValidation:
             SolverConfig(lambda_step=MAX_COST * 1.01)
         assert SolverConfig(lambda_step=0.0).lambda_step == 0.0
         assert SolverConfig(lambda_step=MAX_COST).lambda_step == MAX_COST
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5], 1 + 0j])
+    def test_rejects_non_numbers(self, value):
+        # a bool is not taken for 1.0 or 0.0, and nothing that is not a
+        # number gets as far as the range comparison
+        with pytest.raises(ValueError, match="lambda_step must be a number"):
+            SolverConfig(lambda_step=value)
+
+    def test_accepts_ints_and_numpy_floats(self):
+        assert SolverConfig(lambda_step=1).lambda_step == 1
+        assert SolverConfig(lambda_step=np.float64(0.25)).lambda_step == 0.25
 
     def test_defaults(self):
         cfg = SolverConfig()
