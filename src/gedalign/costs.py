@@ -185,11 +185,16 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
 
     ``node_insert`` and ``node_delete`` must declare a ``default``; extra keys
     are per-label overrides. Substitution pairs are ordered; missing pairs fall
-    back to the declared default.
+    back to the declared default. Any other key, top-level or in
+    ``node_substitute``, and a ``(from, to)`` pair listed twice are refused,
+    since each would otherwise be dropped silently.
     """
     doc = _load_json_object(source, CostModelError, "cost")
     if "edge_cost_squared" not in doc:
         raise CostModelError("cost document missing 'edge_cost_squared'")
+    unknown = doc.keys() - {"edge_cost_squared", "node_insert", "node_delete", "node_substitute"}
+    if unknown:
+        raise CostModelError(f"unknown cost document keys: {sorted(unknown)}")
 
     def _table(section: str, missing: dict | None = None) -> tuple[float, dict]:
         raw = doc.get(section, missing)
@@ -201,6 +206,9 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
     insert_default, insert_costs = _table("node_insert")
     delete_default, delete_costs = _table("node_delete")
     substitute_default, sub_table = _table("node_substitute", {"default": 0.0})
+    unknown = sub_table.keys() - {"pairs"}
+    if unknown:
+        raise CostModelError(f"unknown node_substitute keys: {sorted(unknown)}")
     raw_pairs = sub_table.get("pairs", [])
     if not isinstance(raw_pairs, list):
         raise CostModelError("'node_substitute.pairs' must be a list")
@@ -214,6 +222,10 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
         ):
             raise CostModelError(
                 f"node_substitute.pairs[{pos}]: expected [from_label, to_label, cost]"
+            )
+        if (entry[0], entry[1]) in sub_pairs:
+            raise CostModelError(
+                f"node_substitute.pairs[{pos}]: pair {entry[0]!r} -> {entry[1]!r} listed twice"
             )
         sub_pairs[(entry[0], entry[1])] = entry[2]
     return CostModel(

@@ -21,20 +21,20 @@ Before the first round the solve computes the certified lower bound of
 :func:`editpath.lower_bound`. When the costs make every sum exact, a mapping
 that costs no more than the bound is optimal, and the solve stops with
 ``converged_reason="certified_optimal"`` as soon as it has one: at a round's
-end, or inside a round, where the iterate is rounded, scored and descended
-after each step count in :data:`CHECK_STEPS`. Step 0 is checked in round 1
-only: the identity start's rounding is the identity, scored without an
-assignment, and a start whose descent meets the bound ends the solve before
-any gradient. A check that does not certify changes nothing, its descended
-mapping included, so a solve that never certifies inside a round is the
-solve without checks, bit for bit. A solve that does returns the bound, the
-true distance; its estimate is never above the one without checks, and its
-mapping may be a different optimal one. The checks come at step 0 and at
-powers of two from step 1. At n=8 the step-0 check takes about 7 µs, a
-later one, one rounding and one score, about 60 µs, a descent about 85 µs
-(25 µs a pass) and a step about 55 µs (2-vCPU Xeon, one BLAS thread). On
-corpus_n8 at seed 20240501 the identity meets the bound on 181 pairs of 200
-and its descent on 193.
+end, or at a check, where :func:`inner_minimize` passes the iterate at a
+step count in :data:`CHECK_STEPS` to a stop predicate. Both round, score and
+descend through one closure that keeps the state of the iterate it rounded
+last, so no iterate is rounded twice. A check that does not certify changes
+nothing, its descended mapping included, so a solve that never certifies
+inside a round is the solve without checks, bit for bit. A solve that does
+returns the bound, the true distance; its estimate is never above the one
+without checks, and its mapping may be a different optimal one. The checks
+come at step 0 and at powers of two from step 1. At n=8 round 1's step-0
+check, on the identity start, takes about 7 µs, a later one, one rounding
+and one score, about 60 µs, a descent about 85 µs (25 µs a pass) and a step
+about 55 µs (2-vCPU Xeon, one BLAS thread). On corpus_n8 at seed 20240501
+the identity meets the bound on 181 pairs of 200 and its descent on 193, so
+those solves end before any gradient.
 
 Every cost and ``lambda_step`` is at most :data:`costs.MAX_COST`, so every
 objective, gradient, step and score of a solve is finite (the ``costs``
@@ -69,11 +69,12 @@ CERTIFIED_OPTIMAL = "certified_optimal"
 #: A round's inner loop stops once the Frank–Wolfe gap is at most this.
 INNER_TOL = 1e-7
 
-#: With a certified lower bound, a round rounds and scores its iterate after
-#: each of these step counts, and ends the solve when the mapping meets the
-#: bound. Step 0 is checked in round 1 only, on the identity start, whose
-#: rounding needs no assignment; later rounds start from an iterate whose
-#: rounding already failed the bound. Costs in the module docstring.
+#: With a certified lower bound, a round rounds, scores and descends its
+#: iterate at each of these step counts, and ends the solve when the mapping
+#: meets the bound. Step 0 is checked in every round; it is free after round
+#: 1, since the start is the last round's final iterate, whose state is known,
+#: and in round 1 the identity start's rounding needs no assignment. Costs in
+#: the module docstring.
 CHECK_STEPS = (0, 1, 2, 4, 8, 16)
 
 
@@ -106,8 +107,8 @@ def inner_minimize(
     d: np.ndarray,
     p0: np.ndarray,
     lam: float,
-    certify: Callable[[np.ndarray], tuple[Permutation, float] | None] | None = None,
-) -> tuple[np.ndarray, int, float, tuple[Permutation, float] | None]:
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, int, float]:
     """Run Frank–Wolfe from the doubly stochastic ``p0``.
 
     ``a`` and ``b`` are the kappa-scaled adjacency matrices, ``d`` the
@@ -124,21 +125,22 @@ def inner_minimize(
     gradient is computed at each step, and none at the last iterate of a
     capped round; the objective is evaluated once, at the returned iterate.
 
-    With ``certify``, the iterate after each step count in ``CHECK_STEPS`` is
-    passed to it; it returns a scored mapping that meets the lower bound, or
-    ``None`` and changes nothing. On a mapping the loop stops at once. Returns
-    the last iterate, the number of steps taken, the objective there and the
-    certified mapping with its cost, or ``None``.
+    With ``stop``, the iterate at each step count in ``CHECK_STEPS``, step 0
+    (``p0`` itself) included, is passed to it before the step, and the loop
+    ends when it returns true. Returns the last iterate (``p0`` itself when
+    no step is taken), the number of steps taken and the objective there.
     """
     total = np.add.reduce
     p = np.asarray(p0, dtype=np.float64)
-    rows = np.arange(p.shape[0])
-    v = None
+    rows = v = None
     steps = 0
-    certified = None
     while steps < SolverConfig.inner_max_iters:
+        if stop is not None and steps in CHECK_STEPS and stop(p):
+            break
         g = gradient(a, b, d, p, lam)
         cols, _, v = _augmenting_path_lap(g, v)
+        if rows is None:  # set up past the step-0 check, which often ends the loop
+            rows = np.arange(p.shape[0])
         delta = -p
         delta[rows, cols] += 1.0
         slope = float(total(g * delta, None))
@@ -149,11 +151,7 @@ def inner_minimize(
         gamma = 1.0 if curvature <= 0.0 else min(1.0, -slope / (2.0 * curvature))
         p = p + gamma * delta
         steps += 1
-        if certify is not None and steps in CHECK_STEPS:
-            certified = certify(p)
-            if certified is not None:
-                break
-    return p, steps, objective(a, b, d, p, lam), certified
+    return p, steps, objective(a, b, d, p, lam)
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,8 @@ class RoundRecord:
     """Per-round trace entry. ``objective_value`` is the relaxed objective
     the round minimized, at the iterate it rounded; ``candidate_ged`` is the
     score of that rounding before swap descent. In a round ended by a check,
-    ``inner_iterations`` counts the steps up to the check and
-    ``candidate_ged`` is the certified, descended cost."""
+    step 0 included, ``inner_iterations`` counts the steps up to the check
+    and ``candidate_ged`` is the certified, descended cost."""
 
     round_index: int
     lam: float
@@ -200,16 +198,18 @@ def estimate_ged(
     The alignment starts at the identity with the regularizer off. Every
     round: minimize from the previous round's iterate, round it to a
     permutation, score that mapping exactly and, unless it meets the
-    certified lower bound, descend from it by swaps. A round that takes no
-    step keeps its start's rounding cost and descent: the previous round's,
-    or in round 1 the identity's, whose matrix has no other optimal rounding,
-    scored without an assignment. The problem itself never changes during a
-    solve. The regularizer weight increases by ``lambda_step`` per round.
-    Stops when a descended score meets the bound, at a round's end or at one
-    of its ``CHECK_STEPS``, when the best undescended score has not improved
-    for ``patience`` rounds, or at the round cap. Reports the best descended
+    certified lower bound, descend from it by swaps. One closure does that
+    for the checks inside a round and for its end, and keeps the state of the
+    iterate it rounded last: a round that takes no step, or ends at a checked
+    step count, keeps that state, and the start is rounded to the identity,
+    the only optimal rounding of its matrix, without an assignment. The
+    problem itself never changes during a solve. The regularizer weight
+    increases by ``lambda_step`` per round. Stops when a descended score
+    meets the bound, at a round's end or at one of its ``CHECK_STEPS``, step
+    0 included, when the best undescended score has not improved for
+    ``patience`` rounds, or at the round cap. Reports the best descended
     mapping; each round's ``candidate_ged`` is its undescended score, or the
-    certified cost where a check certified.
+    certified cost where a check ended the round.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -225,43 +225,40 @@ def estimate_ged(
     a_scaled = kappa * a
     b_scaled = kappa * b
 
-    def scored(mapping: Permutation) -> tuple[float, tuple[Permutation, float]]:
-        """The mapping's exact cost, and the mapping with that cost after swap
-        descent unless the cost already meets the bound."""
-        cost = _score_mapping(d, a, b, mapping.mapping, k2)
-        if lb is not None and cost <= lb:
-            return cost, (mapping, cost)
-        descended, lowered = _swap_descent(d, a, b, mapping.mapping, cost, k2)
-        return cost, (Permutation(descended), lowered)
+    start = np.eye(n, dtype=np.float64)
+    # the iterate last rounded, and its (undescended cost, descended mapping,
+    # descended cost)
+    rounded = state = None
 
-    def certify(p: np.ndarray) -> tuple[Permutation, float] | None:
-        mapping, cost = scored(round_to_permutation(p))[1]
-        return (mapping, cost) if cost <= lb else None
+    def certified(p: np.ndarray) -> bool:
+        """Set ``state`` to ``p``'s rounding, scored and, unless that meets
+        the bound, descended; the iterate rounded last keeps its state. True
+        when the descended cost meets the bound."""
+        nonlocal rounded, state
+        if rounded is not p:
+            # -I has one optimal assignment, so the start's rounding is the identity
+            mapping = tuple(range(n)) if p is start else round_to_permutation(p).mapping
+            cost = _score_mapping(d, a, b, mapping, k2)
+            if lb is not None and cost <= lb:
+                state = (cost, mapping, cost)
+            else:
+                state = (cost, *_swap_descent(d, a, b, mapping, cost, k2))
+            rounded = p
+        return lb is not None and state[2] <= lb
 
-    p = np.eye(n, dtype=np.float64)
-    # the cost of p's rounding and that rounding's descent, once known; -I has
-    # one optimal assignment, so the identity start's rounding is the identity
-    candidate = certified = None
-    if lb is not None and 0 in CHECK_STEPS:  # the step-0 check
-        candidate, descended = scored(Permutation.identity(n))
-        certified = descended if descended[1] <= lb else None
+    p = start
     lam = 0.0
     best_candidate = best_ged = math.inf  # round 1's scores are finite and set both
     stall = 0
     trace: list[RoundRecord] = []
     while True:
-        if certified is None:
-            p, inner_iters, value, certified = inner_minimize(
-                a_scaled, b_scaled, d, p, lam, None if lb is None else certify
-            )
-        else:  # the step-0 check certified; a later certificate ends the solve
-            inner_iters, value = 0, objective(a_scaled, b_scaled, d, p, lam)
-        if certified is not None:
-            candidate, descended = certified[1], certified
-        elif inner_iters or candidate is None:
-            candidate, descended = scored(
-                round_to_permutation(p) if inner_iters else Permutation.identity(n)
-            )
+        p, inner_iters, value = inner_minimize(
+            a_scaled, b_scaled, d, p, lam, None if lb is None else certified
+        )
+        met = certified(p)
+        candidate, descended, cost = state
+        if met and inner_iters in CHECK_STEPS:  # a check ended the round
+            candidate = cost
         trace.append(
             RoundRecord(
                 round_index=len(trace) + 1,
@@ -279,9 +276,9 @@ def estimate_ged(
             stall = 0
         else:
             stall += 1
-        if descended[1] < best_ged:
-            best_mapping, best_ged = descended
-        if lb is not None and best_ged <= lb:
+        if cost < best_ged:
+            best_mapping, best_ged = descended, cost
+        if met:
             reason = CERTIFIED_OPTIMAL
             break
         if stall >= cfg.patience:
@@ -291,11 +288,11 @@ def estimate_ged(
             reason = LAMBDA_ROUNDS_EXHAUSTED
             break
         lam += cfg.lambda_step
-    path = extract_edit_path(pair, best_mapping, cm)
+    best = Permutation(best_mapping)
     return SolveReport(
         estimated_ged=best_ged,
-        permutation=best_mapping,
-        edit_path=path,
+        permutation=best,
+        edit_path=extract_edit_path(pair, best, cm),
         trace=tuple(trace),
         converged_reason=reason,
         lower_bound=lb,

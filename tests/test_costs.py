@@ -206,6 +206,69 @@ class TestLoadCostModel:
             load_cost_model(json.dumps(doc))
 
 
+    @pytest.mark.parametrize(
+        "key, section",
+        [
+            # a misspelt section would leave every substitution free
+            ("node_substitut", {"default": 5.0}),
+            ("comment", "costs for the demo"),
+            ("edge_cost", 2.0),
+        ],
+    )
+    def test_unknown_top_level_key_rejected(self, key, section):
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+            key: section,
+        }
+        with pytest.raises(CostModelError, match=f"unknown cost document keys: \\['{key}'\\]"):
+            load_cost_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["pair", "C", "Pairs"])
+    def test_unknown_substitute_key_rejected(self, key):
+        # a misspelt "pairs" would drop every pair; substitution has no
+        # per-label costs, so a label key is refused as well
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+            "node_substitute": {"default": 0.5, key: [["C", "N", 1.0]]},
+        }
+        with pytest.raises(CostModelError, match=f"unknown node_substitute keys: \\['{key}'\\]"):
+            load_cost_model(json.dumps(doc))
+
+    def test_repeated_substitution_pair_rejected(self):
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0},
+            "node_delete": {"default": 1.0},
+            "node_substitute": {
+                "default": 0.5,
+                "pairs": [["C", "N", 1.0], ["N", "C", 2.0], ["C", "N", 3.0]],
+            },
+        }
+        with pytest.raises(CostModelError, match=r"pairs\[2\]: pair 'C' -> 'N' listed twice"):
+            load_cost_model(json.dumps(doc))
+        # the same pair in both directions is two pairs
+        del doc["node_substitute"]["pairs"][2]
+        cm = load_cost_model(json.dumps(doc))
+        assert (cm.node_substitute_cost("C", "N"), cm.node_substitute_cost("N", "C")) == (1.0, 2.0)
+
+    def test_per_label_keys_stay_valid(self):
+        # any key besides "default" in node_insert and node_delete is a label
+        doc = {
+            "edge_cost_squared": 1.0,
+            "node_insert": {"default": 1.0, "pairs": 4.0, "node_substitute": 5.0},
+            "node_delete": {"default": 1.0, "comment": 6.0},
+        }
+        cm = load_cost_model(json.dumps(doc))
+        assert cm.node_insert_cost("pairs") == 4.0
+        assert cm.node_insert_cost("node_substitute") == 5.0
+        assert cm.node_delete_cost("comment") == 6.0
+        assert cm.node_substitute_cost("a", "b") == 0.0
+
+
 class TestBuildCostMatrix:
     def test_dummy_row_gets_insert_costs(self):
         # one real "a" padded against {"a", "b"}: row 0 substitutes for free,

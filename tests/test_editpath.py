@@ -33,7 +33,7 @@ from gedalign.editpath import (
     lower_bound,
 )
 from gedalign.kernel import objective
-from conftest import graph, random_graph
+from conftest import brute_force_ged, graph, random_graph
 
 TRIANGLE = graph("xxx", [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph("xxx", [(0, 1), (1, 2)])
@@ -367,6 +367,30 @@ class TestExactGed:
                 result = exact_ged(case.g1, case.g2, cm)
                 h.update(repr((result.ged, result.optimal_mapping.mapping)).encode())
         assert h.hexdigest() == "11e07db34c2c29ed0ad37624f7a1be954c5fd7d7360e99d5f01620d780bed5a2"
+
+
+    def test_matches_brute_force_on_padded_pairs_under_per_label_costs(self):
+        # ten order-8 pairs, each padded (one side has 5-7 nodes), under
+        # per-label fractional prices: sums are inexact, so the search may
+        # prune only past its rounding margin. About 2% of such pairs need
+        # that margin, and the seed is one whose draw has two: on pairs 7 and
+        # 8 a search with none (cutoff = best) prunes the cheapest mapping and
+        # returns one that costs an ulp more. The value and the first cheapest
+        # mapping must equal those of scoring all 8! mappings, bit for bit
+        cm = CostModel(
+            0.7, 1.3, 0.9, 0.45,
+            insert_costs={"0": 1.1, "1": 0.3},
+            delete_costs={"2": 0.7},
+            substitute_costs={("0", "1"): 0.2, ("1", "0"): 0.6, ("2", "0"): 0.15},
+        )
+        rng = np.random.default_rng(58)
+        for k in range(10):
+            n1 = int(rng.integers(5, 8))
+            sizes = (8, n1) if k % 2 else (n1, 8)
+            g1, g2 = (random_graph(rng, n, ("0", "1", "2"), 0.4) for n in sizes)
+            result = exact_ged(g1, g2, cm)
+            ged, mapping = brute_force_ged(g1, g2, cm)
+            assert (result.ged.hex(), result.optimal_mapping.mapping) == (ged.hex(), mapping)
 
 
 class TestLowerBound:

@@ -84,7 +84,7 @@ class TestFrankWolfe:
         for a, b, d, p0, lam in _random_inner_problems(rng, 12):
             gradient_calls.clear()
             lap_calls.clear()
-            last, iters, _, _ = inner_minimize(a, b, d, p0, lam)
+            last, iters, _ = inner_minimize(a, b, d, p0, lam)
             # a gradient at every iterate before the last, which is returned
             iterates = [args[3] for args, _ in gradient_calls[:iters]] + [last]
             for k in range(iters):
@@ -116,7 +116,7 @@ class TestInnerMinimize:
         a = adjacency(TRIANGLE, 3)
         d = np.zeros((3, 3))
         p0 = np.eye(3)
-        p, iters, _, _ = inner_minimize(a, a, d, p0, 0.0)
+        p, iters, _ = inner_minimize(a, a, d, p0, 0.0)
         assert iters == 0
         assert np.array_equal(p, p0)
 
@@ -124,7 +124,7 @@ class TestInnerMinimize:
         pair = pad_pair(TRIANGLE, TRIANGLE)
         a, b = adjacency(pair.g1, pair.order), adjacency(pair.g2, pair.order)
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
-        p, _, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
+        p, _, _ = inner_minimize(a, b, d, np.eye(3), 0.0)
         assert objective(a, b, d, p, 0.0) == 0.0
 
     def test_descends_from_identity_toward_spread_solution(self):
@@ -137,7 +137,7 @@ class TestInnerMinimize:
         d = build_cost_matrix(pair, builtin_cost_model("case3"))
         start = np.eye(2)
         value_at_start = objective(a, b, d, start, 0.0)
-        p, _, _, _ = inner_minimize(a, b, d, start, 0.0)
+        p, _, _ = inner_minimize(a, b, d, start, 0.0)
         assert objective(a, b, d, p, 0.0) < value_at_start
 
     def test_never_returns_worse_than_start(self, rng):
@@ -152,7 +152,7 @@ class TestInnerMinimize:
             d = build_cost_matrix(pair, cm)
             # a doubly stochastic start: the mean of three permutations
             p0 = sum(np.eye(pair.order)[rng.permutation(pair.order)] for _ in range(3)) / 3.0
-            p, _, _, _ = inner_minimize(a, b, d, p0, 1.0)
+            p, _, _ = inner_minimize(a, b, d, p0, 1.0)
             assert (
                 objective(a, b, d, p, 1.0)
                 <= objective(a, b, d, p0, 1.0) + INNER_TOL
@@ -161,9 +161,11 @@ class TestInnerMinimize:
     def test_returned_value_is_the_objective_at_the_returned_iterate(self, rng):
         # the loop evaluates the objective once, at the iterate it returns,
         # with the bits of `objective` there: at lam 0 and above, with no
-        # certificate, with checks that fail and with one that ends the loop
-        mark = (Permutation(()), 0.0)
-        for certify, ends in ((None, False), (lambda p: None, False), (lambda p: mark, True)):
+        # stop, with checks that all fail, and with a stop that is true at
+        # the k-th check. The stop sees the iterate at each step count in
+        # CHECK_STEPS, step 0 (the start itself) included, and a true one
+        # ends the loop on that iterate
+        for ends in (None, -1, 0, 1):
             steps = 0
             for trial in range(12):
                 n = int(rng.integers(2, 7))
@@ -176,16 +178,27 @@ class TestInnerMinimize:
                 b = kappa * adjacency(pair.g2, pair.order)
                 d = build_cost_matrix(pair, cm)
                 lam = 0.0 if trial % 2 else float(rng.uniform(0.0, 2.0))
-                p, iters, value, certified = inner_minimize(
-                    a, b, d, np.eye(pair.order), lam, certify
+                start = np.eye(pair.order)
+                checked = []
+
+                def stop(p):
+                    checked.append(p)
+                    return len(checked) - 1 == ends
+
+                p, iters, value = inner_minimize(
+                    a, b, d, start, lam, None if ends is None else stop
                 )
                 assert value.hex() == objective(a, b, d, p, lam).hex()
-                if ends and iters:
-                    assert certified is mark and iters == next(k for k in CHECK_STEPS if k)
+                if ends is None:
+                    assert checked == []
+                elif len(checked) - 1 == ends:
+                    assert iters == CHECK_STEPS[ends] and checked[-1] is p
                 else:
-                    assert certified is None
+                    assert len(checked) == sum(k <= iters for k in CHECK_STEPS)
+                if checked:
+                    assert checked[0] is start
                 steps += iters
-            assert steps > 0
+            assert steps > 0 or ends == 0
 
 
 class TestSolvePair:
@@ -491,6 +504,26 @@ class TestCertifiedStop:
         assert checked.trace[-1].inner_iterations in CHECK_STEPS
         steps = lambda report: sum(rec.inner_iterations for rec in report.trace)
         assert steps(checked) < steps(unchecked)
+
+    def test_no_solve_rounds_an_iterate_twice(self, monkeypatch):
+        # a round that ends at a checked step count keeps the check's scored
+        # rounding, and a later round's step-0 check keeps its start's. On
+        # these pairs 3 of 70 roundings would repeat one without that
+        cm = builtin_cost_model("case3")
+        cases = generate_pairs(
+            seed=4242, count=200, n_range=(5, 8), edit_range=(0, 2),
+            label_alphabet=("0", "1", "2", "3"), cm=cm, max_order=8, oracle_budget=0,
+        )
+        roundings = _record(monkeypatch, "round_to_permutation")
+        rounded = 0
+        for case in cases:
+            roundings.clear()
+            estimate_ged(case.g1, case.g2, cm)
+            iterates = [args[0] for args, _ in roundings]
+            rounded += len(iterates)
+            for k, p in enumerate(iterates):
+                assert not any(q is p or np.array_equal(q, p) for q in iterates[:k])
+        assert rounded > 0
 
     def test_identity_start_that_meets_the_bound_ends_at_step_0(self, monkeypatch):
         # the first corpus_n8 pair at 20240501: its identity start costs the
