@@ -18,28 +18,36 @@ the optimum the search finds. The solver's Frank–Wolfe directions keep the
 index-order stop: they use the vertex as found, so another optimum would
 move the iterates and the estimates.
 
-The two phases have two implementations, chosen by the matrix order alone:
-up to ``SCALAR_MAX_ORDER`` (96) they run one float at a time on Python
-lists, above it on numpy arrays, whole rows at a time under boolean masks.
-Both do the same floating-point operations on the same operands in the same
-order, so they return the same assignment and the same dual bits; the array
-path is the reference. At small orders numpy's per-call overhead dominates.
-Milliseconds per call, lists / arrays, medians on a 2-vCPU Xeon with one BLAS
-thread; the directions are the first 40 of a solve on two unrelated n-node
-case1 graphs (warm-started, index-order stop)::
+Phase one runs once for every order, on Python-int bitsets: each row of
+the zero-reduced-cost mask is one int, and each row in index order takes the
+lowest set bit among the unmatched columns. Phase two has two
+implementations, chosen by the matrix order alone: up to
+``SCALAR_MAX_ORDER`` (96) it runs one float at a time on Python lists, above
+it on numpy arrays, whole rows at a time under boolean masks. Both do the
+same floating-point operations on the same operands in the same order, so
+they return the same assignment and the same dual bits; the array path is
+the reference. At small orders numpy's per-call overhead dominates.
+Milliseconds per call, lists / arrays, best of 9 on a 2-vCPU Xeon with one
+BLAS thread. The directions are the first 40 LAPs of a solve on two
+unrelated n-node case1 graphs (warm-started, index-order stop), and the
+roundings the first 20 ``round_to_permutation`` calls of that solve, refine
+included; at order 8 the solve makes only 16 and 5::
 
-    order   cold normals   directions    {0,1,2} ties, tie stop
-        8    0.04 / 0.07   0.03 / 0.11     0.02 / 0.06
-       32    0.70 / 1.87   0.89 / 2.15     0.18 / 0.24
-       64    2.78 / 3.88    3.9 / 5.5      0.44 / 0.27
-       96    6.47 / 5.51   11.3 / 13.4     0.72 / 0.22
-      128    15.7 / 15.4   28.4 / 21.4     2.25 / 0.78
-      160    34.8 / 23.4   43.2 / 25.3     3.47 / 0.81
-      192    77.0 / 40.2     88 / 39       4.52 / 1.03
+    order   cold normals   directions    roundings    {0,1,2} ties, tie stop
+        8    0.03 / 0.10   0.03 / 0.11   0.04 / 0.05     0.02 / 0.05
+       32    0.36 / 0.81   0.56 / 1.24   0.35 / 0.63     0.08 / 0.10
+       64    1.74 / 2.23   2.58 / 3.64   1.39 / 1.76     0.18 / 0.12
+       80    2.62 / 2.85   4.75 / 4.99   1.77 / 1.79     0.19 / 0.11
+       96    3.87 / 3.67   7.58 / 7.40   1.89 / 1.73     0.32 / 0.15
+      112    5.94 / 4.79   10.0 / 8.43   2.11 / 1.61     0.36 / 0.15
+      128    9.94 / 7.19   14.3 / 10.9   2.05 / 1.41     0.55 / 0.20
+      160    15.6 / 8.99   28.1 / 17.5   5.01 / 3.12     0.66 / 0.23
+      192    24.3 / 13.3   46.0 / 24.6   2.97 / 1.46     0.97 / 0.26
 
-The directions, most of a solve's LAP calls, set the border: there the lists
-still win at 96 and lose at 128. On tie-heavy costs under the tie stop the
-arrays win from about 64.
+The directions and the roundings, all of a solve's LAP calls, set the
+border: the lists win or tie up to 80, are within 10% at 96 and lose from
+112. On tie-heavy costs under the tie stop the arrays win from about 64, by
+at most 0.17 ms a call up to 96.
 
 Determinism contract: among all optimal assignments, the lexicographically
 smallest mapping is returned. The augmenting search alone does not guarantee
@@ -109,9 +117,20 @@ class Permutation:
 
 _NOT_FINITE = "augmenting search found no finite distance: the costs are not finite"
 
-#: Orders up to this run the LAP's two phases on Python lists, larger ones on
+#: Orders up to this run the LAP's phase two on Python lists, larger ones on
 #: numpy arrays; both give the same bits (see the module docstring).
 SCALAR_MAX_ORDER = 96
+
+
+def _bitrows(mask: np.ndarray) -> list[int]:
+    """The rows of a square boolean matrix as Python-int bitsets: bit ``j``
+    of entry ``k`` is ``mask[k, j]``. Rows of one byte, up to order 8, are
+    the packed bytes themselves, with no conversion per row."""
+    width = (mask.shape[1] + 7) // 8
+    packed = np.packbits(mask, axis=1, bitorder="little").tobytes()
+    if width <= 1:  # iterating bytes gives ints
+        return list(packed)
+    return [int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width)]
 
 
 def _augmenting_path_lap(
@@ -123,16 +142,20 @@ def _augmenting_path_lap(
     the column minima ``cost.min(axis=0)``) and ``u = (cost - v).min(axis=1)``.
     Any ``v`` will do, since this ``u`` keeps every reduced cost
     ``cost - u - v`` non-negative and gives every row a zero; the column
-    duals of a similar matrix leave fewer rows for phase two. Each row in
-    index order then takes its lowest-index free column of zero reduced
-    cost, if any. Phase two inserts each row left free, in index order, by a
-    Dijkstra search for a shortest augmenting path over reduced costs; its
-    dual updates keep every reduced cost non-negative and every matched edge
-    at zero. Each step settles the lowest-index column at the least distance
-    and the search ends when that column is unmatched (the index-order stop).
-    With ``stop_at_unmatched_tie`` the search ends as soon as an unmatched
-    column is at the least distance, at the lowest-index one (the tie stop):
-    that path is as short and the duals move alike, so either stop gives an
+    duals of a similar matrix leave fewer rows for phase two. Phase one
+    holds each row's zero reduced costs as a Python-int bitset
+    (:func:`_bitrows`) at every order, and each row in index order takes the
+    lowest set bit among the unmatched columns: its lowest-index free column
+    of zero reduced cost, if any. Phase two, on Python lists up to
+    ``SCALAR_MAX_ORDER`` and on numpy arrays above it, inserts each row left
+    free, in index order, by a Dijkstra search for a shortest augmenting
+    path over reduced costs; its dual updates keep every reduced cost
+    non-negative and every matched edge at zero. Each step settles the
+    lowest-index column at the least distance and the search ends when that
+    column is unmatched (the index-order stop). With
+    ``stop_at_unmatched_tie`` the search ends as soon as an unmatched column
+    is at the least distance, at the lowest-index one (the tie stop): that
+    path is as short and the duals move alike, so either stop gives an
     optimum, though not always the same one. The duals stay feasible and the
     matching stays tight, so the final assignment is optimal by complementary
     slackness. Every scan over columns runs in index order with
@@ -150,18 +173,30 @@ def _augmenting_path_lap(
     v = cost.min(axis=0, initial=np.inf) if v is None else np.array(v, dtype=np.float64)
     slack = cost - v
     u = slack.min(axis=1, initial=np.inf)
-    phases = _phases_on_lists if n <= SCALAR_MAX_ORDER else _phases_on_arrays
-    col_to_row = phases(cost, slack, u, v, stop_at_unmatched_tie)
+    col_to_row = [-1] * (n + 1)  # index n is the virtual start column of phase two
+    free_rows = []
+    unmatched = (1 << n) - 1
+    for i, row in enumerate(_bitrows(slack == u[:, None])):
+        if zeros := row & unmatched:
+            low = zeros & -zeros
+            unmatched ^= low
+            col_to_row[low.bit_length() - 1] = i
+        else:
+            free_rows.append(i)
+    phase_two = _phases_on_lists if n <= SCALAR_MAX_ORDER else _phases_on_arrays
+    col_to_row = phase_two(cost, u, v, col_to_row, free_rows, stop_at_unmatched_tie)
     row_to_col = np.empty(n, dtype=np.int64)
     row_to_col[col_to_row[:n]] = np.arange(n)
     return row_to_col, u, v
 
 
 def _phases_on_arrays(
-    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray, tie_stop: bool
-) -> np.ndarray:
-    """Both phases with numpy operations over whole rows; updates ``u`` and
-    ``v`` in place and returns ``col_to_row`` (entry ``n`` is scratch).
+    cost: np.ndarray, u: np.ndarray, v: np.ndarray,
+    col_to_row: list[int], free_rows: list[int], tie_stop: bool,
+) -> list[int]:
+    """Phase two with numpy operations over whole rows, from phase one's
+    ``col_to_row`` (entry ``n`` is scratch) and ``free_rows``; updates ``u``
+    and ``v`` in place and returns the completed ``col_to_row``.
 
     Boolean masks over the columns (unmatched, left to settle, settled) and
     over the rows (in the search tree) select the entries to update, through
@@ -169,18 +204,7 @@ def _phases_on_arrays(
     index. A settled column's ``minv`` is set to infinity, so that ``argmin``
     over the whole row picks among the columns left to settle."""
     n = cost.shape[0]
-    col_to_row = np.full(n + 1, -1, dtype=np.int64)  # index n is the virtual start column
-    unmatched = np.ones(n, dtype=bool)
-    zero = slack == u[:, None]
-    free_rows = []
-    for i in range(n):
-        row = np.logical_and(zero[i], unmatched, out=zero[i])
-        j = int(row.argmax())
-        if row[j]:
-            col_to_row[j] = i
-            unmatched[j] = False
-        else:
-            free_rows.append(i)
+    unmatched = np.array(col_to_row[:n]) < 0
     way = np.full(n, -1, dtype=np.int64)
     minv, reduced = np.empty(n), np.empty(n)
     to_settle, settled, tree_rows, better = (np.empty(n, dtype=bool) for _ in range(4))
@@ -192,7 +216,7 @@ def _phases_on_arrays(
         settled.fill(False)
         tree_rows.fill(False)
         while True:
-            i0 = int(col_to_row[j0])
+            i0 = col_to_row[j0]
             tree_rows[i0] = True  # at j0 = n, the virtual column's row i
             if j0 < n:
                 to_settle[j0] = False
@@ -229,23 +253,14 @@ def _phases_on_arrays(
 
 
 def _phases_on_lists(
-    cost: np.ndarray, slack: np.ndarray, u: np.ndarray, v: np.ndarray, tie_stop: bool
+    cost: np.ndarray, u: np.ndarray, v: np.ndarray,
+    col_to_row: list[int], free_rows: list[int], tie_stop: bool,
 ) -> list[int]:
-    """:func:`_phases_on_arrays` one float at a time on Python lists: the same
-    operations on the same operands in the same order, so the same bits,
-    without numpy's per-call overhead."""
+    """Phase two as :func:`_phases_on_arrays` runs it, one float at a time on
+    Python lists: the same operations on the same operands in the same
+    order, so the same bits, without numpy's per-call overhead."""
     n = cost.shape[0]
     uu, vv = u.tolist(), v.tolist()
-    col_to_row = [-1] * (n + 1)
-    free_rows = []
-    for i, row in enumerate(slack.tolist()):
-        ui = uu[i]
-        for j in range(n):
-            if row[j] == ui and col_to_row[j] == -1:
-                col_to_row[j] = i
-                break
-        else:
-            free_rows.append(i)
     rows = cost.tolist() if free_rows else []
     way = [-1] * n
     for i in free_rows:
@@ -305,19 +320,17 @@ def _lexicographic_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarr
     chain.
 
     Rows, columns and sets of either are Python-int bitsets (bit ``k`` is
-    index ``k``), so a look-up or an expansion is a few integer operations
-    rather than numpy calls over whole rows. When every row already sits at
-    its leftmost tight column, the matching is returned as it is.
+    index ``k``; :func:`_bitrows`), so a look-up or an expansion is a few
+    integer operations rather than numpy calls over whole rows. When every
+    row already sits at its leftmost tight column, the matching is returned
+    as it is.
     """
     n = tight.shape[0]
     col_of = row_to_col.tolist()
     if not n or tight.argmax(axis=1).tolist() == col_of:
         return row_to_col.copy()
-    width = (n + 7) // 8
-    packed = np.packbits(tight, axis=1, bitorder="little").tobytes()
-    rows = [int.from_bytes(packed[k : k + width], "little") for k in range(0, n * width, width)]
-    packed = np.packbits(np.ascontiguousarray(tight.T), axis=1, bitorder="little").tobytes()
-    cols = [int.from_bytes(packed[k : k + width], "little") for k in range(0, n * width, width)]
+    # packbits takes about 2.5 times as long on the strided transpose at n=350
+    rows, cols = _bitrows(tight), _bitrows(np.ascontiguousarray(tight.T))
     row_of = [0] * n
     for row, col in enumerate(col_of):
         row_of[col] = row

@@ -186,8 +186,8 @@ def load_cost_model(source: bytes | str | IO) -> CostModel:
     ``node_insert`` and ``node_delete`` must declare a ``default``; extra keys
     are per-label overrides. Substitution pairs are ordered; missing pairs fall
     back to the declared default. Any other key, top-level or in
-    ``node_substitute``, and a ``(from, to)`` pair listed twice are refused,
-    since each would otherwise be dropped silently.
+    ``node_substitute``, a ``(from, to)`` pair listed twice and a key repeated
+    in one object are refused, since each would otherwise be dropped silently.
     """
     doc = _load_json_object(source, CostModelError, "cost")
     if "edge_cost_squared" not in doc:

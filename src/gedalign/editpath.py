@@ -39,7 +39,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .assignment import Permutation
+from .assignment import Permutation, _bitrows
 from .costs import CostModel, build_cost_matrix
 from .errors import BudgetExceededError
 from .graphs import GraphPair, LabeledGraph, adjacency, pad_pair
@@ -336,13 +336,13 @@ def extract_edit_path(pair: GraphPair, perm: Permutation, cm: CostModel) -> Edit
     return EditPath(ops=tuple(ops), total_cost=total)
 
 
-def _twins(rows: list[list[float]], adj: list[list[bool]]) -> list[list[int]]:
+def _twins(rows: list[list[float]], masks: list[int]) -> list[list[int]]:
     """For each index ``u``, the smaller indices ``v`` whose row of ``rows``
-    equals ``u``'s and whose adjacency row agrees with ``u``'s outside ``u``
-    and ``v``. Swapping the preimages of two such columns keeps the
-    edited-slot count and every node's cost; swapping the images of two such
-    rows keeps the count and exchanges the two rows' node costs."""
-    masks = [sum(bit << t for t, bit in enumerate(row)) for row in adj]
+    equals ``u``'s and whose adjacency row, given as a bitset in ``masks``
+    (bit ``t`` is the edge to ``t``), agrees with ``u``'s outside ``u`` and
+    ``v``. Swapping the preimages of two such columns keeps the edited-slot
+    count and every node's cost; swapping the images of two such rows keeps
+    the count and exchanges the two rows' node costs."""
     return [
         [
             v
@@ -407,8 +407,8 @@ def _branch_and_bound(
     al = (a != 0).tolist()
     bl = (b != 0).tolist()
     dl = d.tolist()
-    twin_cols = _twins(d.T.tolist(), bl)
-    twin_rows = _twins(dl, al)
+    twin_cols = _twins(d.T.tolist(), _bitrows(b != 0))
+    twin_rows = _twins(dl, _bitrows(a != 0))
     # along[s][x][w]: what assigning a node to image x adds to c[v, w] for a
     # free row v whose edge to that node is s
     along = [[[k2 if s != bx[w] else 0.0 for w in range(n)] for bx in bl] for s in (False, True)]

@@ -131,6 +131,17 @@ def adjacency(g: LabeledGraph, order: int) -> np.ndarray:
     return a
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice raises
+    ``ValueError``, where ``json`` would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_json_object(source: bytes | str | IO, error: type[GedError], what: str) -> dict:
     """The JSON object in ``source`` (bytes, text, or a readable stream);
     anything else raises ``error``, naming the document ``what``."""
@@ -138,9 +149,9 @@ def _load_json_object(source: bytes | str | IO, error: type[GedError], what: str
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        doc = json.loads(data)
-    # not UTF-8, not JSON, an integer past the digit limit, or nesting past
-    # the decoder's recursion limit
+        doc = json.loads(data, object_pairs_hook=_refuse_repeated_keys)
+    # not UTF-8, not JSON, a repeated key, an integer past the digit limit, or
+    # nesting past the decoder's recursion limit
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} JSON parse error: {exc}") from exc
     if not isinstance(doc, dict):

@@ -13,7 +13,12 @@ import pytest
 
 from gedalign import Permutation, round_to_permutation, solve_assignment
 import gedalign.assignment as assignment_module
-from gedalign.assignment import SCALAR_MAX_ORDER, _augmenting_path_lap, _lexicographic_refine
+from gedalign.assignment import (
+    SCALAR_MAX_ORDER,
+    _augmenting_path_lap,
+    _bitrows,
+    _lexicographic_refine,
+)
 from conftest import brute_force_assignment, regularizer
 
 
@@ -359,6 +364,64 @@ class TestListPath:
         for n in (0, 1, SCALAR_MAX_ORDER, SCALAR_MAX_ORDER + 1):
             _augmenting_path_lap(np.zeros((n, n)))
         assert taken == ["_phases_on_lists"] * 3 + ["_phases_on_arrays"]
+
+
+# the byte-width edges and the list border, each with its neighbours
+BITSET_ORDERS = [*range(18), 63, 64, 65, 95, 96, 97, 127, 128, 129]
+DENSITIES = [0.0, 0.1, 0.9, 1.0]
+
+
+class _PhaseTwoCalled(Exception):
+    """Raised in place of phase two, carrying what phase one hands it."""
+
+
+def _reference_phase_one(cost: np.ndarray, v: np.ndarray | None) -> tuple[list[int], list[int]]:
+    """Phase one as the list path ran it on float rows before the bitsets,
+    kept as their reference: (col_to_row with its scratch entry, free rows)."""
+    n = cost.shape[0]
+    v = cost.min(axis=0, initial=np.inf) if v is None else v
+    slack = cost - v
+    u = slack.min(axis=1, initial=np.inf).tolist()
+    col_to_row = [-1] * (n + 1)
+    free_rows = []
+    for i, row in enumerate(slack.tolist()):
+        for j in range(n):
+            if row[j] == u[i] and col_to_row[j] == -1:
+                col_to_row[j] = i
+                break
+        else:
+            free_rows.append(i)
+    return col_to_row, free_rows
+
+
+class TestBitsets:
+    """The bitset rows shared by phase one, the refine and the oracle's twins,
+    and phase one on them, against plain loops."""
+
+    def test_bitrows_match_a_per_bit_sum(self):
+        rng = np.random.default_rng(34)
+        for n in BITSET_ORDERS:
+            for density in DENSITIES:
+                mask = rng.random((n, n)) < density
+                for m in (mask, mask.T):  # the refine packs the transpose too
+                    expected = [sum(bool(x) << j for j, x in enumerate(row)) for row in m]
+                    assert _bitrows(m) == expected
+
+    def test_phase_one_matches_the_list_loop(self, monkeypatch):
+        def stop(cost, u, v, col_to_row, free_rows, tie_stop):
+            raise _PhaseTwoCalled(list(col_to_row), list(free_rows))
+
+        for name in ("_phases_on_lists", "_phases_on_arrays"):
+            monkeypatch.setattr(assignment_module, name, stop)
+        rng = np.random.default_rng(3400)
+        for n in BITSET_ORDERS:
+            for density in DENSITIES:
+                # zeros at the density, the rest 1 or 2
+                cost = np.where(rng.random((n, n)) < density, 0.0, rng.integers(1, 3, (n, n)))
+                for v in (None, np.zeros(n), rng.integers(0, 3, n) * 1.0, rng.normal(size=n)):
+                    with pytest.raises(_PhaseTwoCalled) as called:
+                        _augmenting_path_lap(cost, v)
+                    assert called.value.args == _reference_phase_one(cost, v)
 
 
 def _reference_refine(tight: np.ndarray, row_to_col: np.ndarray) -> np.ndarray:

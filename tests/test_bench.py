@@ -330,6 +330,12 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="parse error"):
             load_corpus(tmp_path)
 
+    def test_index_repeated_key(self, tmp_path):
+        # json.loads alone keeps the last value of a repeated key
+        (tmp_path / "index.json").write_text('{"cases": [{}], "cases": [], "seed": 1}')
+        with pytest.raises(CorpusFormatError, match="parse error: repeated key 'cases'"):
+            load_corpus(tmp_path)
+
     def test_index_not_an_object(self, tmp_path):
         (tmp_path / "index.json").write_text("[]")
         with pytest.raises(CorpusFormatError, match="must be a JSON object"):

@@ -78,6 +78,18 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "graph JSON parse error" in capsys.readouterr().err
 
+    def test_cost_file_with_a_repeated_key(self, tmp_path, graph_files, capsys):
+        costs = tmp_path / "costs.json"
+        costs.write_text(
+            '{"edge_cost_squared": 1, "node_insert": {"default": 1, "C": 2, "C": 7},'
+            ' "node_delete": {"default": 1}, "node_substitute": {"default": 1}}'
+        )
+        code = main(
+            ["estimate", graph_files["triangle"], graph_files["path3"], "--cost", f"file:{costs}"]
+        )
+        assert code == EXIT_INPUT
+        assert "repeated key 'C'" in capsys.readouterr().err
+
     def test_unknown_cost_setting(self, graph_files):
         code = main(["estimate", graph_files["triangle"], graph_files["path3"], "--cost", "case7"])
         assert code == EXIT_INPUT

@@ -109,6 +109,20 @@ class TestLoadCostModel:
         with pytest.raises(CostModelError, match="parse error"):
             load_cost_model(text)
 
+    @pytest.mark.parametrize(
+        "members, key",
+        [
+            ('"node_insert": {"default": 1, "C": 2, "C": 7}', "C"),
+            ('"node_delete": {"default": 1}, "node_delete": {"default": 3}', "node_delete"),
+        ],
+        ids=["label", "section"],
+    )
+    def test_repeated_key_is_error(self, members, key):
+        # json.loads alone keeps the last value of a repeated key
+        text = '{"edge_cost_squared": 1, ' + members + "}"
+        with pytest.raises(CostModelError, match=f"parse error: repeated key '{key}'"):
+            load_cost_model(text)
+
     def test_missing_edge_cost_is_error(self):
         doc = {"node_insert": {"default": 1.0}, "node_delete": {"default": 1.0}}
         with pytest.raises(CostModelError, match="edge_cost_squared"):

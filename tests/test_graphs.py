@@ -53,6 +53,12 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="parse error"):
             load_graph("[" * 100_000)
 
+    def test_repeated_key_rejected(self):
+        # json.loads alone keeps the last value of a repeated key
+        text = '{"nodes":[{"id":0,"label":"a"}],"edges":[],"edges":[[0,0]]}'
+        with pytest.raises(GraphFormatError, match="parse error: repeated key 'edges'"):
+            load_graph(text)
+
     def test_self_loop_rejected(self):
         doc = '{"nodes":[{"id":0,"label":"a"}],"edges":[[0,0]]}'
         with pytest.raises(GraphFormatError, match="edges\\[0\\].*self-loop"):
